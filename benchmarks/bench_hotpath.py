@@ -1,15 +1,15 @@
-"""Benchmark: the event-core hot paths (perf points 0 and 1).
+"""Benchmark: the event-core hot paths.
 
 Times the fixed synthetic-rate workloads of
 :mod:`repro.queueing.hotpath` — the saturated MAXIT/SRPT probing
 clusters (narrow and wide) and the bursty MAXTP + affinity scenario
-run — on the interned-type fast path (point 0) and the count-vector
-compiled engine (point 1), and checks them against the committed
+run — on the legacy reference engine and the count-vector compiled
+engine, and checks the compiled times against the committed
 ``BENCH_CORE.json`` perf trajectory with a generous tolerance (CI
 hardware varies; only a wholesale regression fails).  A correctness
-assertion pins the fast path to the legacy string path on the MAXIT
-workload: identical completions, work, and turnarounds (the exhaustive
-three-engine pin is ``tests/property/test_differential_engines.py``).
+assertion pins the compiled engine to the legacy string path on the
+MAXIT workload: identical completions, work, and turnarounds (the
+exhaustive pin is ``tests/property/test_differential_engines.py``).
 
 Refreshing the baseline after an intentional perf-relevant change::
 
@@ -54,13 +54,13 @@ def test_hotpath_legacy(benchmark, workload):
 
     Not a gate by itself: it calibrates the absolute comparison in
     ``tools/compare_bench.py`` (a slow CI runner is slow on both
-    paths, so the committed budget is scaled by the observed
-    legacy-path ratio) and feeds the fresh machine-local speedup
+    engines, so the committed budget is scaled by the observed
+    legacy-engine ratio) and feeds the fresh machine-local speedup
     check.
     """
     runner = HOTPATH_WORKLOADS[workload]
     metrics, _ = benchmark.pedantic(
-        runner, kwargs={"fast_path": False}, rounds=2, iterations=1
+        runner, kwargs={"engine": "legacy"}, rounds=2, iterations=1
     )
     baseline = committed_baseline().get(workload)
     if baseline:
@@ -68,48 +68,22 @@ def test_hotpath_legacy(benchmark, workload):
 
 
 @pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
-def test_hotpath(benchmark, workload):
-    runner = HOTPATH_WORKLOADS[workload]
-    metrics, stats = benchmark.pedantic(runner, rounds=3, iterations=1)
-
-    # Cache efficacy is part of the contract: a steady-state run must
-    # overwhelmingly hit the memo (surface the numbers either way).
-    assert stats is not None
-    print(f"\n[{workload}] memo stats: {stats}")
-    assert stats["hits"] > stats["misses"], stats
-    benchmark.extra_info["memo_stats"] = stats
-    benchmark.extra_info["completed"] = metrics.completed
-
-    baseline = committed_baseline().get(workload)
-    if baseline:
-        # Completions are hardware-independent: they must match the
-        # committed baseline exactly (same workload, same engine).
-        assert metrics.completed == baseline["completed"]
-        if not BASELINE_TOLERANCE:
-            return
-        measured = benchmark.stats.stats.min
-        budget = baseline["fast_s"] * BASELINE_TOLERANCE
-        assert measured <= budget, (
-            f"{workload}: {measured:.3f}s exceeds {budget:.3f}s "
-            f"({BASELINE_TOLERANCE}x the committed {baseline['fast_s']:.3f}s "
-            "baseline) — the hot path regressed; see BENCH_CORE.json"
-        )
-
-
-@pytest.mark.parametrize("workload", sorted(HOTPATH_WORKLOADS))
 def test_hotpath_compiled(benchmark, workload):
-    """The count-vector compiled engine (perf point 1).
+    """The count-vector compiled engine.
 
-    Surfaces the engine's own counters (fusion, batching, probe
-    vectorization) in the benchmark JSON, and gates the timing against
-    the committed ``compiled_s`` baseline.
+    Surfaces the engine's own counters (fusion, batching, probe hits)
+    in the benchmark JSON, and gates the timing against the committed
+    ``compiled_s`` baseline.
     """
     runner = HOTPATH_WORKLOADS[workload]
     metrics, stats = benchmark.pedantic(
         runner, kwargs={"engine": "compiled"}, rounds=3, iterations=1
     )
 
+    # Cache efficacy is part of the contract: a steady-state run must
+    # overwhelmingly hit the memo (surface the numbers either way).
     assert stats is not None
+    assert stats["hits"] > stats["misses"], stats
     engine_stats = stats.get("engine")
     assert engine_stats is not None, "compiled run reported no engine stats"
     print(f"\n[{workload}] engine stats: {engine_stats}")
@@ -134,10 +108,10 @@ def test_hotpath_compiled(benchmark, workload):
         )
 
 
-def test_fast_path_matches_legacy_path():
-    """Spot-check (the exhaustive pin is the equivalence property
-    test): both paths produce identical ClusterMetrics on the
+def test_compiled_engine_matches_legacy_engine():
+    """Spot-check (the exhaustive pin is the differential fuzz
+    harness): both engines produce identical ClusterMetrics on the
     saturated MAXIT workload at a reduced size."""
-    fast, _ = saturated_cluster("maxit", n_jobs=600, fast_path=True)
-    legacy, _ = saturated_cluster("maxit", n_jobs=600, fast_path=False)
-    assert to_jsonable(fast) == to_jsonable(legacy)
+    compiled, _ = saturated_cluster("maxit", n_jobs=600, engine="compiled")
+    legacy, _ = saturated_cluster("maxit", n_jobs=600, engine="legacy")
+    assert to_jsonable(compiled) == to_jsonable(legacy)

@@ -40,7 +40,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import Experiment, RunOptions, register
 from repro.microarch.rates import RateSource, infer_contexts
-from repro.queueing.cluster import Cluster
+from repro.queueing.cluster import Cluster, resolve_engine
 from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.faults import FaultConfig
 from repro.queueing.scenarios import Scenario, get_scenario
@@ -107,7 +107,7 @@ class FaultOutcome:
         abandoned: jobs dropped after exhausting the retry budget.
         shed: arrivals dropped by the admission-control valve.
         completed: jobs finished inside the measurement window.
-        engine: engine that advanced the run (provenance — all
+        engine: engine that advanced the run (provenance — both
             engines are bit-identical, faults included).
     """
 
@@ -129,7 +129,7 @@ class FaultOutcome:
     abandoned: int
     shed: int
     completed: int
-    engine: str = "compiled"
+    engine: str
 
 
 def _cell_seed(base: int, scenario: str, dispatcher: str) -> int:
@@ -176,8 +176,7 @@ def run_fault_cell(
     seed: int = 0,
     contexts: int | None = None,
     capacity: float | None = None,
-    engine: str | None = "compiled",
-    backend: str | None = None,
+    engine: str | None = None,
 ) -> FaultOutcome:
     """Run one (scenario, dispatcher, fault mode) cell.
 
@@ -240,7 +239,6 @@ def run_fault_cell(
         stop_when_fewer_than=stop_when_fewer_than,
         keep_in_system=keep_in_system,
         engine=engine,
-        backend=backend,
         faults=faults,
     )
     stats = cluster.last_fault_stats or {}
@@ -270,7 +268,7 @@ def run_fault_cell(
         abandoned=int(stats.get("abandoned", 0)),
         shed=int(stats.get("shed", 0)),
         completed=metrics.completed,
-        engine=engine or "fast",
+        engine=resolve_engine(engine),
     )
 
 
@@ -294,8 +292,7 @@ def compute_fault_sweep(
     n_jobs: int | None = None,
     seed: int = 0,
     contexts: int | None = None,
-    engine: str | None = "compiled",
-    backend: str | None = None,
+    engine: str | None = None,
     jobs: int = 1,
 ) -> list[FaultOutcome]:
     """The full chaos grid: scenarios × dispatchers × fault modes.
@@ -326,7 +323,6 @@ def compute_fault_sweep(
         "contexts": k,
         "capacity": capacity,
         "engine": engine,
-        "backend": backend,
     }
     if jobs > 1 and len(cells) > 1:
         frozen = snapshot_rates(rates, workload.types, k)

@@ -41,6 +41,11 @@ threshold, each machine's effective speed (DEGRADED episodes), and the
 full :class:`~repro.queueing.faults.FaultRuntime` state (lifecycle,
 event heap, retry heap, attempt counts, RNG position) — a killed run
 resumes bit-identically *through* a failure event.
+
+Older v2 payloads may carry a ``run.backend`` field (the retired
+compiled-engine scoring switch), which restore ignores.  A payload
+whose ``run.engine`` names the retired ``"fast"`` engine is refused
+with a :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
@@ -141,7 +146,6 @@ def capture(
         "format": CHECKPOINT_FORMAT,
         "run": {
             "engine": handle.engine,
-            "backend": handle.backend,
             "warmup_time": handle.warmup_time,
             "horizon": handle.horizon,
             "stop_when_fewer_than": handle.stop_when_fewer_than,
@@ -174,7 +178,7 @@ def capture(
         # reproduces every interned id of the original run.
         "codec": (
             list(handle.memo.codec.names())
-            if handle.engine != "legacy"
+            if handle.engine == "compiled"
             else None
         ),
         "machines": machines,
@@ -265,6 +269,12 @@ def restore(
     differently mid-interval).
     """
     run = payload["run"]
+    if run["engine"] == "fast":
+        raise CheckpointError(
+            "checkpoint was taken on the retired 'fast' engine, which "
+            "no longer exists; restart the run on engine='compiled' "
+            "(bit-identical to it) or 'legacy'"
+        )
     fault_payload = run.get("faults")
     faults = (
         FaultConfig.from_jsonable(fault_payload)
@@ -279,7 +289,6 @@ def restore(
         keep_in_system=run["keep_in_system"],
         max_events=run["max_events"],
         engine=run["engine"],
-        backend=run["backend"],
         pick_log=pick_log,
         faults=faults,
         stall_events=run.get("stall_events", DEFAULT_STALL_EVENTS),
@@ -289,9 +298,9 @@ def restore(
             "checkpoint machine count does not match this cluster: "
             f"{len(payload['machines'])} vs {len(handle.machines)}"
         )
-    fast = handle.engine != "legacy"
+    compiled = handle.engine == "compiled"
     memo = handle.memo
-    if fast:
+    if compiled:
         for name in payload["codec"]:
             memo.codec.encode(name)
 
@@ -330,11 +339,13 @@ def restore(
                 arrival_time=arrival_time,
                 remaining=remaining,
             )
-            job.type_code = memo.codec.encode(job_type) if fast else None
+            job.type_code = (
+                memo.codec.encode(job_type) if compiled else None
+            )
             queue.append(job)
             by_id[job.job_id] = job
-        if fast:
-            queue.enable_index(memo.codec)
+        if compiled:
+            queue.enable_index()
         machine.jobs = queue
         running = [by_id[i] for i in mstate["running_ids"]]
         machine.running = running
@@ -344,7 +355,7 @@ def restore(
         # the same operands — see Machine.reschedule).
         speed = mstate.get("speed", 1.0)
         machine.speed = speed
-        if fast:
+        if compiled:
             codes = tuple(sorted(job.type_code for job in running))
             entry = memo.compiled_entry(codes)
             machine.coschedule = entry.names
@@ -390,7 +401,7 @@ def restore(
             )
         handle.fault_rt.load_state(
             faults_state,
-            encode=memo.codec.encode if fast else None,
+            encode=memo.codec.encode if compiled else None,
         )
 
     handle.state = LoopState(

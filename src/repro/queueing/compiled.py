@@ -1,13 +1,10 @@
-"""Count-vector compiled engine: perf trajectory point 1.
+"""Count-vector compiled engine: the production event loop.
 
-The PR-4 fast path interned type names and memoized probes, but still
-advances the cluster one Python event at a time through the generic
-:class:`~repro.queueing.cluster.Machine` / ``Scheduler.select`` stack.
-This module re-expresses per-machine state as **dense type-count
-vectors** keyed by the run's
+``engine="compiled"`` (the default of
+:meth:`~repro.queueing.cluster.Cluster.run`) re-expresses per-machine
+state as **dense type-count vectors** keyed by the run's
 :class:`~repro.microarch.codec.TypeCodec` and drives the run through a
-specialized event loop (``engine="compiled"`` on
-:meth:`~repro.queueing.cluster.Cluster.run`):
+specialized event loop:
 
 * **count vectors** — each machine maintains ``counts[type_id]``
   incrementally at admission/completion, so the probe key of a
@@ -27,41 +24,43 @@ specialized event loop (``engine="compiled"`` on
   the decision is machine-independent (a unique MAXIT winner) — one
   resolved candidate template, instantiated per machine from its own
   job pools;
-* **vectorized probe scoring** — MAXIT/SRPT/MAXTP scoring runs over
-  the memoized candidate set as array operations.  SRPT (the only
-  scorer whose objective depends on continuous per-job state) has two
-  backends behind the ``backend=`` switch: ``"tuples"`` (pure-int
-  tuple iteration, zero dependencies) and ``"numpy"`` (one gather +
-  one segmented reduction across *all* candidates at once).  Both are
-  bit-identical to the string path: the numpy backend divides and
-  accumulates the exact floats, in the exact order, of the legacy
-  per-candidate loop (``np.add.reduceat`` sums each segment
-  sequentially).
+* **memoized probe scoring** — MAXIT/SRPT/MAXTP score the memoized
+  candidate set of the machine's capped count vector
+  (:meth:`~repro.queueing.ratememo.RunRateMemo.probe_filtered`), with
+  SRPT's per-type prefix sums performing the exact additions of the
+  string path.
 
 **Bit-identity is the contract.**  Every float written to a job, a
 metric, or a scheduler observation is produced by the same operation,
-on the same operands, in the same order as the legacy engine; anything
-that cannot be made exactly identical (e.g. summing a queue's affinity
-by count×weight instead of per job) is deliberately *not* done.
+on the same operands, in the same order as the legacy engine
+(``Cluster._event_loop`` with the string-path ``select`` of each
+scheduler, kept as the frozen reference); anything that cannot be
+made exactly identical (e.g. summing a queue's affinity by
+count×weight instead of per job) is deliberately *not* done.
 ``tests/property/test_differential_engines.py`` fuzzes random
 (scenario, dispatcher, scheduler, cluster, horizon) configurations and
-asserts bit-identical :class:`~repro.queueing.cluster.ClusterMetrics`
-and scheduler pick sequences across all three engines, and
+asserts bit-identical :class:`~repro.queueing.cluster.ClusterMetrics`,
+scheduler pick sequences and fault stats across both engines, and
 ``tests/property/test_compiled_invariants.py`` pins the fusion and
 batching layers in isolation via the ``fuse``/``batch`` debug knobs.
 
+Policies probe the run's *policy* memo — the run memo itself, or on
+``rate_source="estimated"`` runs the memo over the estimator's
+published rates — while stepping always reads the true-rate run memo.
 Schedulers the engine does not specialize (LJF, random, or any
 scheduler probing a counterfactual rate source) fall back to their own
-``select`` — the compiled engine is a superset, never a restriction.
+``select``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import SimulationError
+from repro.microarch.codec import TypeCodec
 from repro.queueing.cluster import LoopState, _stall_error
 from repro.queueing.faults import (
     DEFAULT_STALL_EVENTS,
@@ -79,52 +78,19 @@ from repro.queueing.schedulers import (
     _age_key,
 )
 
-try:  # pragma: no cover - exercised via both backends in the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
-
 __all__ = [
     "CompiledEngineStats",
-    "default_backend",
     "run_compiled",
-    "BACKENDS",
 ]
 
 _EPSILON = 1e-9
 _INF = float("inf")
-
-#: Recognized values of the ``backend=`` switch.
-BACKENDS = ("tuples", "numpy")
-
-#: Below this many feasible candidates the numpy backend's fixed
-#: per-call overhead (array fills, one gather, one reduction) loses to
-#: the plain tuple loop, so ``backend="numpy"`` only vectorizes probes
-#: at or above it.  Measured on the ``bench_hotpath`` workloads; both
-#: code paths are bit-identical, so the threshold is pure tuning.
-NUMPY_MIN_CANDIDATES = 12
-
-
-def default_backend() -> str:
-    """The scoring backend used when ``backend=None``.
-
-    Benchmarked head to head on the four ``HOTPATH_WORKLOADS``
-    (see ``tools/profile_hotpaths.py --engine compiled``), pure-int
-    tuples win or tie everywhere — per-decision candidate sets are
-    small enough that numpy's array-construction overhead cancels its
-    scoring throughput except on the widest SRPT probes, where the two
-    backends tie.  ``backend="numpy"`` stays available behind the
-    switch for workloads with much wider candidate spaces.
-    """
-    return "tuples"
-
 
 @dataclass
 class CompiledEngineStats:
     """Observable counters of one compiled-engine run.
 
     Attributes:
-        backend: resolved scoring backend of the run.
         events: event-loop iterations consumed.
         reschedules: scheduling decisions made.
         fused_syncs: zero-span machine syncs skipped by event fusion.
@@ -137,11 +103,8 @@ class CompiledEngineStats:
         max_batch: largest dirty-flush seen.
         probe_hits: probes answered from the memoized candidate sets.
         probe_builds: probes that had to build a candidate set.
-        vectorized_probes: SRPT scorings run on the numpy backend.
-        scalar_probes: SRPT scorings run on the tuple loop.
     """
 
-    backend: str
     events: int = 0
     reschedules: int = 0
     fused_syncs: int = 0
@@ -151,15 +114,11 @@ class CompiledEngineStats:
     max_batch: int = 1
     probe_hits: int = 0
     probe_builds: int = 0
-    vectorized_probes: int = 0
-    scalar_probes: int = 0
 
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly counters plus derived rates."""
         probes = self.probe_hits + self.probe_builds
-        scored = self.vectorized_probes + self.scalar_probes
         return {
-            "backend": self.backend,
             "events": self.events,
             "reschedules": self.reschedules,
             "fused_syncs": self.fused_syncs,
@@ -171,11 +130,6 @@ class CompiledEngineStats:
             "probe_builds": self.probe_builds,
             "probe_hit_rate": (
                 round(self.probe_hits / probes, 4) if probes else 0.0
-            ),
-            "vectorized_probes": self.vectorized_probes,
-            "scalar_probes": self.scalar_probes,
-            "vectorization_hit_rate": (
-                round(self.vectorized_probes / scored, 4) if scored else 0.0
             ),
         }
 
@@ -229,17 +183,18 @@ class _MState:
         #: kept while no count crosses the contexts cap (deep-backlog
         #: steady state: the capped key cannot have changed).
         self.probe_cache: tuple | None = None
-        #: MAXTP only: [(names, count_items)] in target-fraction order.
-        self.maxtp_targets: list | None = None
+        #: MAXTP only: (the ``target_fractions`` dict they were built
+        #: from, [(names, count_items, codes_key)] in its order) —
+        #: rebuilt whenever a re-optimization installs a new dict.
+        self.maxtp_targets: tuple[dict, list] | None = None
         #: MAXTP only: the scheduler's bound ``_deficit``.
         self.deficit: Callable | None = None
 
 
 def _prepare_state(
-    machines: Sequence, memo: RunRateMemo
+    machines: Sequence, probe_memo: RunRateMemo
 ) -> list[_MState]:
     """Classify every machine's scheduler and build its state."""
-    codec = memo.codec
     states = []
     for machine in machines:
         ms = _MState(machine)
@@ -257,10 +212,10 @@ def _prepare_state(
             ms.observe = scheduler.observe
             ms.zero_obs_safe = observe is MaxTpScheduler.observe
         ms.rate_observer = machine.rate_observer
-        # Specialize only schedulers probing *this run's* memo — one
-        # probing a counterfactual source must keep doing exactly that
-        # through its own ``select``.
-        if scheduler.rates is memo:
+        # Specialize only schedulers probing *this run's* policy memo —
+        # one probing a counterfactual source must keep doing exactly
+        # that through its own ``select``.
+        if scheduler.rates is probe_memo:
             kind = type(scheduler)
             if kind is MaxItScheduler:
                 ms.kind = "maxit"
@@ -270,24 +225,32 @@ def _prepare_state(
                 ms.kind = "fcfs"
             elif kind is MaxTpScheduler:
                 ms.kind = "maxtp"
-                # Intern the LP targets up front (ids are mode-internal;
-                # candidate enumeration and tie-breaks stay name-based).
-                from collections import Counter
-
-                ms.maxtp_targets = [
-                    (
-                        s,
-                        tuple(
-                            (codec.encode(t), c)
-                            for t, c in Counter(s).items()
-                        ),
-                        tuple(sorted(codec.encode(t) for t in s)),
-                    )
-                    for s in scheduler.target_fractions
-                ]
                 ms.deficit = scheduler._deficit
         states.append(ms)
     return states
+
+
+def forget_probes(states: Sequence[_MState]) -> None:
+    """Drop every machine's cached probe (the policy memo was cleared:
+    its candidate sets carry stale rates)."""
+    for ms in states:
+        ms.probe_cache = None
+
+
+def _coded_targets(
+    codec: TypeCodec, fractions: dict[tuple[str, ...], float]
+) -> list:
+    """MAXTP's LP coschedules interned for containment checks, in
+    ``fractions`` order (ids are mode-internal; tie-breaks stay
+    name-based)."""
+    return [
+        (
+            s,
+            tuple((codec.encode(t), c) for t, c in Counter(s).items()),
+            tuple(sorted(codec.encode(t) for t in s)),
+        )
+        for s in fractions
+    ]
 
 
 def _sorted_pool(pools: dict, by_code: dict, code: int) -> list[Job]:
@@ -300,48 +263,9 @@ def _sorted_pool(pools: dict, by_code: dict, code: int) -> list[Job]:
     return pool
 
 
-def _srpt_arrays(probe: CandidateSet, size: int):
-    """Lazy numpy scoring arrays of one memoized candidate set.
-
-    Lays every feasible candidate's ``(type, count, rate)`` items out
-    as one fixed-width 2D gather into a per-decision prefix matrix
-    (row = position of the type in the probe key, column = count).
-    Candidates with fewer item slots are padded with the index of a
-    dedicated always-0.0 cell and a divisor of 1.0, so their trailing
-    terms are exact ``+ 0.0/1.0`` no-ops — the per-candidate total is
-    then accumulated **column by column**, which performs precisely
-    the left-to-right float additions of the legacy scalar loop
-    (``np.sum``/``reduceat`` would not: numpy's pairwise summation
-    produces different bits).  Built once per (count vector, size)
-    memo entry.
-    """
-    arrays = probe.srpt_np
-    if arrays is None:
-        width = size + 1
-        n_rows = len(probe.key_codes)
-        zero_cell = n_rows * width  # matrix is padded by one 0.0 slot
-        rows = {code: i for i, code in enumerate(probe.key_codes)}
-        feasible = probe.feasible
-        n_items = max(len(c.srpt_items) for c in feasible)
-        gather = _np.full(
-            (len(feasible), n_items), zero_cell, dtype=_np.intp
-        )
-        rates = _np.ones((len(feasible), n_items), dtype=_np.float64)
-        max_count: dict[int, int] = {}
-        for i, candidate in enumerate(feasible):
-            for j, (code, count, rate) in enumerate(candidate.srpt_items):
-                gather[i, j] = rows[code] * width + count
-                rates[i, j] = rate
-                if count > max_count.get(code, 0):
-                    max_count[code] = count
-        fill = [(rows[code], count) for code, count in max_count.items()]
-        arrays = (gather, rates, n_rows, width, fill)
-        probe.srpt_np = arrays
-    return arrays
-
-
 def run_compiled(
     memo: RunRateMemo,
+    probe_memo: RunRateMemo,
     machines: Sequence,
     stream: Iterator[Job],
     *,
@@ -375,16 +299,18 @@ def run_compiled(
     (``resume=``); ``None`` means the run completed.  ``states`` lets a
     run handle keep the per-machine compiled states (count vectors,
     queue-order flags) alive across segments.
+
+    ``memo`` holds the true rates every job steps at; ``probe_memo`` is
+    the one policies decide on — ``memo`` itself, or the estimates'
+    memo on ``rate_source="estimated"`` runs.
     """
-    backend = stats.backend
-    use_numpy = backend == "numpy" and _np is not None
     if states is None:
-        states = _prepare_state(machines, memo)
+        states = _prepare_state(machines, probe_memo)
     n_machines = len(machines)
     all_ids = list(range(n_machines))
     codec = memo.codec
-    probe_cached = memo.probe_cached
-    probe_build = memo.probe_filtered
+    probe_cached = probe_memo.probe_cached
+    probe_build = probe_memo.probe_filtered
     compiled_entry = memo.compiled_entry
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -602,74 +528,31 @@ def run_compiled(
                 pools[code] = entry
             return entry
 
-        if use_numpy and len(feasible) >= NUMPY_MIN_CANDIDATES:
-            stats.vectorized_probes += 1
-            gather, rates, n_rows, width, fill = _srpt_arrays(probe, size)
-            matrix = _np.empty(n_rows * width + 1, dtype=_np.float64)
-            matrix[-1] = 0.0  # the padding cell
-            for row, count in fill:
-                prefix = pool(probe.key_codes[row])[1]
-                base = row * width
-                matrix[base : base + count + 1] = prefix[: count + 1]
-            # One gather + one divide, then column-by-column adds: the
-            # same divisions and the same left-to-right additions as
-            # the legacy per-candidate loop, hence the same floats
-            # (padded slots append exact + 0.0 no-ops).
-            vals = matrix[gather] / rates
-            totals = vals[:, 0].copy()
-            for column in range(1, vals.shape[1]):
-                totals += vals[:, column]
-            first = int(totals.argmin())
-            best_total = totals[first]
-            ties = _np.flatnonzero(totals == best_total)
-            if len(ties) == 1:
-                best = feasible[first]
-            else:
-                age_pools: dict[int, list[Job]] = {}
+        def age_of(candidate: ProbeCandidate) -> float:
+            age = 0.0
+            for code, count in candidate.count_items:
+                for job in pool(code)[0][:count]:
+                    age += job.arrival_time
+            return age
 
-                def age_of(candidate: ProbeCandidate) -> float:
-                    age = 0.0
-                    for code, count in candidate.count_items:
-                        for job in pool(code)[0][:count]:
-                            age += job.arrival_time
-                    return age
-
-                best = feasible[first]
-                best_age = age_of(best)
-                for index in ties[1:]:
-                    candidate = feasible[int(index)]
-                    age = age_of(candidate)
-                    if age < best_age:
-                        best = candidate
-                        best_age = age
-        else:
-            stats.scalar_probes += 1
-            best = None
-            best_total = None
-            best_age = None
-
-            def age_of(candidate: ProbeCandidate) -> float:
-                age = 0.0
-                for code, count in candidate.count_items:
-                    for job in pool(code)[0][:count]:
-                        age += job.arrival_time
-                return age
-
-            for candidate in feasible:
-                total_remaining = 0.0
-                for code, count, rate in candidate.srpt_items:
-                    total_remaining += pool(code)[1][count] / rate
-                if best_total is None or total_remaining < best_total:
+        best = None
+        best_total = None
+        best_age = None
+        for candidate in feasible:
+            total_remaining = 0.0
+            for code, count, rate in candidate.srpt_items:
+                total_remaining += pool(code)[1][count] / rate
+            if best_total is None or total_remaining < best_total:
+                best = candidate
+                best_total = total_remaining
+                best_age = None
+            elif total_remaining == best_total:
+                if best_age is None:
+                    best_age = age_of(best)
+                age = age_of(candidate)
+                if age < best_age:
                     best = candidate
-                    best_total = total_remaining
-                    best_age = None
-                elif total_remaining == best_total:
-                    if best_age is None:
-                        best_age = age_of(best)
-                    age = age_of(candidate)
-                    if age < best_age:
-                        best = candidate
-                        best_age = age
+                    best_age = age
         chosen: list[Job] = []
         for code, count in best.count_items:
             chosen.extend(pool(code)[0][:count])
@@ -680,10 +563,15 @@ def run_compiled(
     ) -> tuple[list[Job], tuple[int, ...]]:
         machine = ms.machine
         if n_jobs >= machine.contexts:
+            fractions = machine.scheduler.target_fractions
+            targets = ms.maxtp_targets
+            if targets is None or targets[0] is not fractions:
+                targets = (fractions, _coded_targets(codec, fractions))
+                ms.maxtp_targets = targets
             counts = ms.counts
             n_counts = len(counts)
             formable = []
-            for target in ms.maxtp_targets:
+            for target in targets[1]:
                 for code, count in target[1]:
                     if code >= n_counts or counts[code] < count:
                         break
@@ -691,7 +579,6 @@ def run_compiled(
                     formable.append(target)
             if formable:
                 deficit = ms.deficit
-                fractions = machine.scheduler.target_fractions
                 best = max(
                     formable,
                     key=lambda pair: (
@@ -780,7 +667,7 @@ def run_compiled(
             machine.coschedule = entry.names
             # DEGRADED machines step at a scaled rate; decisions keep
             # probing the memo's nominal rates (same split as the
-            # interpreted engines).  Fresh copies — memo entries are
+            # legacy engine).  Fresh copies — memo entries are
             # shared and must never be mutated.
             speed = machine.speed
             if speed == 1.0:

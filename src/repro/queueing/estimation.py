@@ -245,7 +245,7 @@ class ThroughputEstimator:
         Zero- and negative-span intervals are ignored (the compiled
         engine fuses zero-span syncs away, so skipping them here keeps
         the observation sequence — and therefore the noise-RNG draw
-        order — identical across all three engines).
+        order — identical across both engines).
         """
         if span <= 0.0 or not coschedule:
             return

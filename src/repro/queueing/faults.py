@@ -733,9 +733,9 @@ class FaultRuntime:
     ) -> None:
         """Restore :meth:`state_dict` onto this runtime.
 
-        ``encode`` is the run codec's interning function on the fast
-        engines (retry-heap jobs get their type ids back), ``None`` on
-        the legacy engine.
+        ``encode`` is the run codec's interning function on the
+        compiled engine (retry-heap jobs get their type ids back),
+        ``None`` on the legacy engine.
         """
         self.state = [str(s) for s in payload["state"]]
         self.life_epoch = [int(e) for e in payload["life_epoch"]]

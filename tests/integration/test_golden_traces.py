@@ -13,10 +13,10 @@ it.  Two locks per pair:
   simulator must reproduce the committed metrics (any drift in the
   event loop, schedulers, or dispatch policies fails here, with a
   per-field diff naming exactly what moved).  The lock is parametrized
-  over engines: every committed trace replays through both the fast
-  path and the count-vector compiled engine (``engine="compiled"``)
-  against the *same* expectation file — bit-identity across engines is
-  part of the contract, not a separate suite.
+  over engines: every committed trace replays through both the legacy
+  reference engine and the count-vector compiled engine against the
+  *same* expectation file — bit-identity across engines is part of the
+  contract, not a separate suite.
 
 Two extra goldens (``hotpath_saturated_{maxit,srpt}.json``) pin the
 saturated hotpath benchmark workloads at reduced size on their own
@@ -95,7 +95,7 @@ PAIRS = [
 ]
 #: Engines the committed expectations are replayed through — every
 #: golden passes unchanged on both (bit-identity across engines).
-ENGINES = ("fast", "compiled")
+ENGINES = ("legacy", "compiled")
 
 
 def golden_path(scenario: str, dispatcher: str) -> Path:
@@ -247,6 +247,7 @@ class TestGoldenTraces:
                     build_golden_stream(scenario, mean_rate),
                     scenario,
                     dispatcher,
+                    engine=ENGINES[0],
                 )
                 metrics = run_golden_trace(
                     build_golden_stream(scenario, mean_rate),
@@ -395,6 +396,7 @@ class TestEstimatedGoldens:
                 reference = run_estimated_golden(
                     build_golden_stream(scenario, mean_rate),
                     scenario, dispatcher, noise, noise_seed,
+                    engine=ENGINES[0],
                 )
                 metrics = run_estimated_golden(
                     build_golden_stream(scenario, mean_rate),
@@ -592,6 +594,7 @@ class TestFaultyGoldens:
                 ref_metrics, ref_stats = run_faulty_golden(
                     build_golden_stream(scenario, mean_rate),
                     scenario, dispatcher, faults,
+                    engine=ENGINES[0],
                 )
                 metrics, stats = run_faulty_golden(
                     build_golden_stream(scenario, mean_rate),
@@ -751,7 +754,7 @@ class TestHotpathGoldens:
         if update_golden:
             if engine != ENGINES[0]:
                 reference = run_hotpath_golden(
-                    build_hotpath_stream(), scheduler
+                    build_hotpath_stream(), scheduler, engine=ENGINES[0]
                 )
                 metrics = run_hotpath_golden(
                     build_hotpath_stream(), scheduler, engine=engine

@@ -77,7 +77,7 @@ def payload_of(metrics) -> list:
 
 
 class TestShardedEqualsMonolithic:
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["legacy", "compiled"])
     @pytest.mark.parametrize("n_shards", [2, 7])
     def test_bit_identical_metrics_and_picks(self, engine, n_shards):
         mono_picks: list = []
@@ -102,7 +102,7 @@ class TestShardedEqualsMonolithic:
             build_stream,
             boundaries=plan_boundaries(4, N_JOBS / MEAN_RATE),
             checkpoint_dir=tmp_path,
-            engine="fast",
+            engine="compiled",
         )
         assert out.shards_run == 4
         assert not (tmp_path / CHECKPOINT_NAME).exists()
@@ -171,7 +171,7 @@ def driver_dir(tmp_path: Path) -> Path:
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("engine", ["fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["compiled"])
     def test_killed_run_resumes_bit_identically(self, driver_dir, engine):
         """Hard-kill after shard 1's checkpoint (fresh process), resume
         in another fresh process: metrics match the monolithic run bit
@@ -210,7 +210,7 @@ class TestCheckpointValidation:
         from repro.queueing.checkpoint import capture, save
 
         boundaries = plan_boundaries(5, N_JOBS / MEAN_RATE)
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream(), engine="compiled")
         assert not handle.advance(pause_at=boundaries[0])
         save(
             tmp_path / CHECKPOINT_NAME,
@@ -230,13 +230,13 @@ class TestCheckpointValidation:
                 build_stream,
                 boundaries=plan_boundaries(3, N_JOBS / MEAN_RATE),
                 checkpoint_dir=tmp_path,
-                engine="fast",
+                engine="compiled",
             )
 
     def test_capture_requires_a_paused_run(self):
         from repro.queueing.checkpoint import capture
 
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream(), engine="compiled")
         with pytest.raises(SimulationError, match="paused run"):
             capture(handle)
         handle.close()
@@ -244,7 +244,7 @@ class TestCheckpointValidation:
     def test_restore_rejects_the_wrong_stream(self, tmp_path):
         from repro.queueing.checkpoint import capture, restore
 
-        handle = build_cluster().start(build_stream(), engine="fast")
+        handle = build_cluster().start(build_stream(), engine="compiled")
         assert not handle.advance(pause_at=20.0)
         payload = capture(handle)
         handle.close()
@@ -274,7 +274,7 @@ class TestPlanBoundaries:
                 build_cluster(),
                 build_stream,
                 boundaries=[50.0, 10.0],
-                engine="fast",
+                engine="compiled",
             )
 
 

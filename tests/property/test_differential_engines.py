@@ -1,21 +1,27 @@
-"""Three-way differential fuzz harness: legacy vs fast vs compiled.
+"""Differential fuzz harness: legacy vs compiled.
 
 This is the equivalence contract that makes engine rewrites cheap to
 attempt and hard to get wrong: a seeded fuzzer draws random cluster
 configurations — scenario, dispatcher, scheduler, machine count,
-contexts, horizon/warmup/backlog knobs, and the arrival stream's seed
-— runs each through **all engine variants** (the legacy string path,
-the interned-type fast path, and the count-vector compiled engine on
-both scoring backends), and asserts
+contexts, horizon/warmup/backlog knobs, rate source, fault preset, and
+the arrival stream's seed — runs each through **both engines** (the
+legacy string path, kept as the frozen reference, and the count-vector
+compiled engine), and asserts
 
 * **bit-identical ClusterMetrics** — every float of every per-machine
   metric, compared through ``to_jsonable`` (exact equality, including
-  the per-coschedule time-split dict keys); and
+  the per-coschedule time-split dict keys);
 * **identical scheduler pick sequences** — each engine logs every
   scheduling decision as ``(machine_id, picked job ids in order)``;
   the logs must match element for element.  Order matters: the engine
   accumulates stepped work in running-set order, so a permuted pick
-  that happened to finish the same jobs would still drift the floats.
+  that happened to finish the same jobs would still drift the floats;
+  and
+* **identical fault stats** — the fault layer's counters.
+
+A second fuzzer draws random rate tables (arbitrary per-type speeds
+and same-type interference) and random job streams, so picks are
+also compared on tables the synthetic scenarios never produce.
 
 Hypothesis drives the generation, so a failing draw **shrinks to a
 minimal reproducing configuration** (fewest jobs, smallest cluster,
@@ -34,23 +40,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.workload import Workload
 from repro.experiments.registry import to_jsonable
-from repro.queueing.cluster import Cluster
+from repro.microarch.rates import TableRates
+from repro.queueing.cluster import ENGINES, Cluster, run_cluster
 from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.estimation import EstimationConfig
 from repro.queueing.faults import FaultConfig
 from repro.queueing.hotpath import synthetic_rates
+from repro.queueing.job import Job
 from repro.queueing.scenarios import get_scenario
 from repro.queueing.schedulers import make_scheduler
+from repro.util.multiset import multisets
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_DIFF_FUZZ_EXAMPLES", "200"))
 
-#: engine variants under differential test: (label, engine, backend).
-ENGINE_VARIANTS = (
-    ("legacy", "legacy", None),
-    ("fast", "fast", None),
-    ("compiled-tuples", "compiled", "tuples"),
-    ("compiled-numpy", "compiled", "numpy"),
-)
+#: The legacy reference engine, and the engines compared against it.
+REFERENCE, CANDIDATES = ENGINES[0], ENGINES[1:]
 
 SCENARIOS = (
     "baseline_poisson",
@@ -107,13 +111,17 @@ configs = st.fixed_dictionaries(
         "n_jobs": st.integers(min_value=1, max_value=60),
         "mean_rate": st.floats(min_value=0.5, max_value=8.0),
         "seed": st.integers(min_value=0, max_value=2**16),
-        # Rate-source axis: estimated mode (zero noise, warm oracle
-        # prior, frequent re-optimization rounds) must stay
-        # bit-identical across every engine — the estimation layer's
-        # two-memo plumbing is part of the equivalence contract.
-        "rate_source": st.sampled_from(("oracle", "estimated")),
+        # Rate-source axis: estimated mode must stay bit-identical
+        # across engines — the estimation layer's two-memo plumbing is
+        # part of the equivalence contract.  "estimated" is the
+        # zero-noise warm-oracle control; "estimated_noisy" has noise
+        # and a cold prior, so every re-optimization round really
+        # changes the policy memo's rates and MAXTP's targets.
+        "rate_source": st.sampled_from(
+            ("oracle", "estimated", "estimated_noisy")
+        ),
         # Fault axis: failure/repair processes must not break the
-        # three-way equivalence — every engine calls the shared
+        # equivalence — every engine calls the shared
         # FaultRuntime at the same iteration points, so crashes,
         # outages, degraded episodes, retries, and shedding land on
         # the same bits everywhere.
@@ -132,14 +140,27 @@ configs = st.fixed_dictionaries(
 )
 
 
-def run_config(config, engine, backend, rate_source=None, faults="axis"):
+def estimation_for(rate_source: str, seed: int) -> EstimationConfig | None:
+    """Estimator knobs of a rate-source axis value: a small
+    re-optimization interval, so many rounds fire even on short
+    streams."""
+    if rate_source == "estimated":
+        return EstimationConfig(
+            noise=0.0, prior="oracle", reopt_observations=8
+        )
+    if rate_source == "estimated_noisy":
+        return EstimationConfig(
+            noise=0.2, prior="single_run", reopt_observations=8, seed=seed
+        )
+    return None
+
+
+def run_config(config, engine, rate_source=None, faults="axis"):
     """One full cluster run; returns (metrics payload, pick log,
     fault stats).
 
     ``rate_source`` overrides the config's axis (defaulting to
-    "oracle" for configs without one).  Estimated runs use zero noise,
-    the warm oracle prior, and a small re-optimization interval, so
-    many re-optimization rounds fire even on short streams.
+    "oracle" for configs without one); see :func:`estimation_for`.
     ``faults`` overrides the config's fault axis: pass a FaultConfig,
     ``None`` to force the fault-free loop, or leave the default to
     follow the draw's own axis.
@@ -174,20 +195,15 @@ def run_config(config, engine, backend, rate_source=None, faults="axis"):
     )
     if rate_source is None:
         rate_source = config.get("rate_source", "oracle")
-    estimation = (
-        EstimationConfig(noise=0.0, prior="oracle", reopt_observations=8)
-        if rate_source == "estimated"
-        else None
-    )
+    estimation = estimation_for(rate_source, config["seed"])
     if faults == "axis":
         faults = fault_config_from(config)
     picks: list[tuple[int, tuple[int, ...]]] = []
     metrics = cluster.run(
         jobs,
         engine=engine,
-        backend=backend,
         pick_log=picks,
-        rate_source=rate_source,
+        rate_source="oracle" if estimation is None else "estimated",
         estimation=estimation,
         faults=faults,
         **config["knobs"],
@@ -205,8 +221,8 @@ class TestLargeClockStall:
     fusion used to swallow that positive exact span and spin forever
     (observed at ~950k jobs into a 64-machine run).  Shifting a small
     stream past the boundary reproduces it in milliseconds: with the
-    fix, every engine finishes within a normal event budget and all
-    stay bit-identical through the pathological completions.
+    fix, both engines finish within a normal event budget and stay
+    bit-identical through the pathological completions.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -224,7 +240,7 @@ class TestLargeClockStall:
         rates, names = synthetic_rates(n_types=3, contexts=2)
         workload = Workload.of(*names)
 
-        def run_engine(engine, backend):
+        def run_engine(engine):
             cluster = Cluster(
                 rates,
                 [
@@ -239,16 +255,15 @@ class TestLargeClockStall:
             metrics = cluster.run(
                 shifted_jobs(),
                 engine=engine,
-                backend=backend,
                 pick_log=picks,
                 max_events=12_000,
             )
             return to_jsonable(metrics), picks
 
-        reference = run_engine(*ENGINE_VARIANTS[0][1:])
-        for label, engine, backend in ENGINE_VARIANTS[1:]:
-            assert run_engine(engine, backend) == reference, (
-                f"{label} diverges past clock 2**14 (seed {seed})"
+        reference = run_engine(REFERENCE)
+        for engine in CANDIDATES:
+            assert run_engine(engine) == reference, (
+                f"{engine} diverges past clock 2**14 (seed {seed})"
             )
 
 
@@ -256,22 +271,20 @@ class TestDifferentialEngines:
     @given(configs)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_engines_bit_identical(self, config):
-        reference_label, engine, backend = ENGINE_VARIANTS[0]
         reference_metrics, reference_picks, reference_stats = run_config(
-            config, engine, backend
+            config, REFERENCE
         )
-        for label, engine, backend in ENGINE_VARIANTS[1:]:
-            metrics, picks, stats = run_config(config, engine, backend)
+        for engine in CANDIDATES:
+            metrics, picks, stats = run_config(config, engine)
             assert metrics == reference_metrics, (
-                f"{label} metrics diverge from {reference_label} "
-                f"on {config}"
+                f"{engine} metrics diverge from {REFERENCE} on {config}"
             )
             assert picks == reference_picks, (
-                f"{label} pick sequence diverges from {reference_label} "
+                f"{engine} pick sequence diverges from {REFERENCE} "
                 f"on {config}"
             )
             assert stats == reference_stats, (
-                f"{label} fault stats diverge from {reference_label} "
+                f"{engine} fault stats diverge from {REFERENCE} "
                 f"on {config}"
             )
 
@@ -289,22 +302,19 @@ class TestZeroFaultIdentityFuzz:
     @settings(max_examples=max(25, MAX_EXAMPLES // 4), deadline=None)
     def test_inactive_config_matches_fault_free(self, config):
         inert = FaultConfig(seed=config["seed"] + 1)
-        for label, engine, backend in (
-            ENGINE_VARIANTS[1],   # fast
-            ENGINE_VARIANTS[2],   # compiled-tuples
-        ):
+        for engine in ENGINES:
             bare_metrics, bare_picks, _ = run_config(
-                config, engine, backend, faults=None
+                config, engine, faults=None
             )
             gated_metrics, gated_picks, stats = run_config(
-                config, engine, backend, faults=inert
+                config, engine, faults=inert
             )
             assert gated_metrics == bare_metrics, (
-                f"{label}: an inactive FaultConfig changed the metrics "
+                f"{engine}: an inactive FaultConfig changed the metrics "
                 f"on {config}"
             )
             assert gated_picks == bare_picks, (
-                f"{label}: an inactive FaultConfig changed the picks "
+                f"{engine}: an inactive FaultConfig changed the picks "
                 f"on {config}"
             )
             assert stats["crashes"] == 0 and stats["availability"] == 1.0
@@ -318,7 +328,7 @@ class TestEstimatedOracleIdentity:
     when ``est == true``), so a re-optimization round re-solves
     against the same numbers and every policy decision — pick
     sequence and ClusterMetrics alike — must be bit-identical to the
-    oracle run, on every engine variant.  This pins the whole
+    oracle run, on every engine.  This pins the whole
     estimated-mode plumbing (observation wiring, epoch publishing,
     the policy-memo indirection) as a pure pass-through at zero
     noise.
@@ -332,13 +342,8 @@ class TestEstimatedOracleIdentity:
     )
 
     @pytest.mark.parametrize("scheduler,dispatcher", POLICIES)
-    @pytest.mark.parametrize(
-        "label,engine,backend", ENGINE_VARIANTS,
-        ids=[v[0] for v in ENGINE_VARIANTS],
-    )
-    def test_estimated_matches_oracle(
-        self, scheduler, dispatcher, label, engine, backend
-    ):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_estimated_matches_oracle(self, scheduler, dispatcher, engine):
         config = {
             "scenario": "skewed_types",
             "scheduler": scheduler,
@@ -351,11 +356,118 @@ class TestEstimatedOracleIdentity:
             "seed": 1234,
             "knobs": {},
         }
-        oracle = run_config(config, engine, backend, rate_source="oracle")
-        estimated = run_config(
-            config, engine, backend, rate_source="estimated"
-        )
+        oracle = run_config(config, engine, rate_source="oracle")
+        estimated = run_config(config, engine, rate_source="estimated")
         assert estimated == oracle, (
             f"zero-noise estimated {scheduler}/{dispatcher} diverges "
-            f"from oracle on {label}"
+            f"from oracle on {engine}"
         )
+
+
+# ----------------------------------------------------------------------
+# Random rate tables: picks on tables the scenarios never produce.
+# ----------------------------------------------------------------------
+TABLE_TYPES = ("A", "B", "C")
+TABLE_WORKLOAD = Workload.of(*TABLE_TYPES)
+TABLE_CONTEXTS = 2
+
+
+def build_table(per_job: dict[str, float], interference: float) -> TableRates:
+    """A full 3-type/2-context table from per-job rates and a same-type
+    interference factor (heterogeneous pairs stay at full speed)."""
+    table = {}
+    for size in (1, 2):
+        for cos in multisets(TABLE_TYPES, size):
+            factor = (
+                interference if size == 2 and len(set(cos)) == 1 else 1.0
+            )
+            table[cos] = {
+                b: per_job[b] * cos.count(b) * factor for b in set(cos)
+            }
+    return TableRates(table)
+
+
+rate_tables = st.builds(
+    build_table,
+    st.fixed_dictionaries(
+        {
+            t: st.floats(min_value=0.1, max_value=2.0, allow_nan=False)
+            for t in TABLE_TYPES
+        }
+    ),
+    st.floats(min_value=0.3, max_value=1.0),
+)
+
+#: (type, inter-arrival gap, size) triples; zero gaps make
+#: same-instant arrivals and age ties.
+job_streams = st.lists(
+    st.tuples(
+        st.sampled_from(TABLE_TYPES),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.05, max_value=3.0),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def build_jobs(stream) -> list[Job]:
+    jobs = []
+    clock = 0.0
+    for i, (job_type, gap, size) in enumerate(stream):
+        clock += gap
+        jobs.append(
+            Job(job_id=i, job_type=job_type, size=size, arrival_time=clock)
+        )
+    return jobs
+
+
+class TestRandomTableEquivalence:
+    @given(
+        rate_tables,
+        job_streams,
+        st.sampled_from(("fcfs", "maxit", "srpt", "maxtp", "ljf")),
+        st.sampled_from(("round_robin", "jsq", "affinity")),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(
+            (
+                {},
+                {"warmup_time": 2.0},
+                {"horizon": 8.0},
+                {"keep_in_system": 2, "stop_when_fewer_than": 2},
+            )
+        ),
+    )
+    @settings(max_examples=max(25, MAX_EXAMPLES // 2), deadline=None)
+    def test_metrics_and_picks_bit_identical(
+        self, rates, stream, scheduler, dispatcher, machines, knobs
+    ):
+        def run(engine):
+            picks: list = []
+            metrics = run_cluster(
+                rates,
+                [
+                    make_scheduler(
+                        scheduler,
+                        rates,
+                        TABLE_CONTEXTS,
+                        workload=TABLE_WORKLOAD,
+                    )
+                    for _ in range(machines)
+                ],
+                make_dispatcher(
+                    dispatcher,
+                    rates=rates,
+                    workload=TABLE_WORKLOAD,
+                    contexts=TABLE_CONTEXTS,
+                ),
+                build_jobs(stream),
+                engine=engine,
+                pick_log=picks,
+                **knobs,
+            )
+            return to_jsonable(metrics), picks
+
+        reference = run(REFERENCE)
+        for engine in CANDIDATES:
+            assert run(engine) == reference, f"{engine} diverges"
