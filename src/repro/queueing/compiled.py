@@ -310,7 +310,15 @@ def run_compiled(
     all_ids = list(range(n_machines))
     codec = memo.codec
     probe_cached = probe_memo.probe_cached
-    probe_build = probe_memo.probe_filtered
+    # Filtering a full-cap universe reads rates of coschedules the
+    # queue cannot form.  Over an estimator that read is not free — it
+    # cold-starts an estimate, which the legacy path never does — so
+    # estimate-backed probes enumerate only the formable candidates.
+    probe_build = (
+        probe_memo.probe_filtered
+        if probe_memo is memo
+        else probe_memo.probe_candidates
+    )
     compiled_entry = memo.compiled_entry
     heappush, heappop = heapq.heappush, heapq.heappop
 

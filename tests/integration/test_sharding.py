@@ -25,6 +25,7 @@ from repro.microarch.rates import TableRates
 from repro.queueing.checkpoint import CHECKPOINT_FORMAT, load
 from repro.queueing.cluster import Cluster
 from repro.queueing.dispatch import JoinShortestQueueDispatcher
+from repro.queueing.faults import FaultConfig
 from repro.queueing.scenarios import get_scenario
 from repro.queueing.schedulers import make_scheduler
 from repro.queueing.sharding import (
@@ -95,6 +96,34 @@ class TestShardedEqualsMonolithic:
         assert sharded.resumed_from_shard is None
         assert sharded_picks == mono_picks
         assert payload_of(sharded.metrics) == payload_of(mono)
+
+    @pytest.mark.parametrize("n_shards", [2, 7])
+    def test_faulty_run_is_shard_invariant(self, n_shards):
+        faults = FaultConfig(
+            seed=5, mtbf=30.0, mttr=4.0, degraded_mtbf=40.0,
+            degraded_duration=5.0, retry_budget=2, backoff_base=0.5,
+        )
+        mono_cluster = build_cluster()
+        mono_picks: list = []
+        mono = mono_cluster.run(
+            build_stream(), pick_log=mono_picks, faults=faults
+        )
+        assert mono_cluster.last_fault_stats["crashes"] > 0
+        sharded_cluster = build_cluster()
+        sharded_picks: list = []
+        sharded = run_sharded(
+            sharded_cluster,
+            build_stream,
+            boundaries=plan_boundaries(n_shards, N_JOBS / MEAN_RATE),
+            pick_log=sharded_picks,
+            faults=faults,
+        )
+        assert sharded_picks == mono_picks
+        assert payload_of(sharded.metrics) == payload_of(mono)
+        assert (
+            sharded_cluster.last_fault_stats
+            == mono_cluster.last_fault_stats
+        )
 
     def test_completed_checkpoint_is_removed(self, tmp_path):
         out = run_sharded(

@@ -364,6 +364,70 @@ class TestEstimatedOracleIdentity:
         )
 
 
+class TestEstimatedNoisyAgreement:
+    """Pinned noisy-estimation cases: legacy and compiled must agree.
+
+    The compiled engine specializes estimated-rate runs itself: its
+    picks probe the policy memo, each machine's cached probes are
+    dropped whenever an estimator epoch flushes that memo, and MAXTP's
+    interned targets follow every re-solve.  These fixed draws keep
+    that path under test on every run, independent of what the
+    hypothesis fuzzer happens to draw, with a noisy observation stream
+    and a non-oracle prior so each re-optimization round really moves
+    the policy's rates.
+    """
+
+    POLICIES = TestEstimatedOracleIdentity.POLICIES
+
+    @pytest.mark.parametrize("scheduler,dispatcher", POLICIES)
+    @pytest.mark.parametrize("prior", ["single_run", "optimistic"])
+    def test_engines_agree_under_noise(self, scheduler, dispatcher, prior):
+        rates, names = synthetic_rates(n_types=4, contexts=3)
+        workload = Workload.of(*names)
+        dispatcher_kw = (
+            dict(rates=rates, workload=workload, contexts=3)
+            if dispatcher == "affinity"
+            else {}
+        )
+        estimation = EstimationConfig(
+            noise=0.25, prior=prior, reopt_observations=6, seed=77
+        )
+
+        def run(engine):
+            cluster = Cluster(
+                rates,
+                [
+                    make_scheduler(scheduler, rates, 3, workload=workload)
+                    for _ in range(2)
+                ],
+                make_dispatcher(dispatcher, **dispatcher_kw),
+            )
+            jobs = get_scenario("skewed_types").build_jobs(
+                names, mean_rate=3.0, seed=4321, n_jobs=60
+            )
+            picks: list = []
+            metrics = cluster.run(
+                jobs,
+                engine=engine,
+                pick_log=picks,
+                rate_source="estimated",
+                estimation=estimation,
+            )
+            return (
+                to_jsonable(metrics),
+                picks,
+                cluster.last_estimator_stats,
+            )
+
+        reference = run(REFERENCE)
+        assert reference[2]["epoch"] >= 2, "re-optimization never fired"
+        for engine in CANDIDATES:
+            assert run(engine) == reference, (
+                f"noisy estimated {scheduler}/{dispatcher} (prior "
+                f"{prior}) diverges between {REFERENCE} and {engine}"
+            )
+
+
 # ----------------------------------------------------------------------
 # Random rate tables: picks on tables the scenarios never produce.
 # ----------------------------------------------------------------------
