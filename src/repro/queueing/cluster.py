@@ -1293,11 +1293,13 @@ class ClusterRunHandle:
             self.fault_rt = FaultRuntime(
                 faults, self.machines, keep_in_system=keep_in_system
             )
-            # Topology churn re-plans through the PR-8 hooks: on any
-            # membership change (machine down or repaired) the offline
-            # policies re-solve over the run's probe source.  With
-            # oracle rates the re-solve is value-neutral (same table,
-            # same solution) but it exercises the same code path the
+            # Topology churn re-plans through the estimation hooks: on
+            # any membership change (machine down or repaired) the
+            # offline policies refresh over the run's probe source,
+            # sharing its one LP solve per rate generation.  With
+            # oracle rates the run memo never clears, so the run
+            # solves once and every refresh is value-neutral (same
+            # table, same solution); the code path is the one the
             # estimated mode uses, identically in every engine.
             rebound = self._rebound
             rebuild = (

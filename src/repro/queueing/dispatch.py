@@ -40,6 +40,7 @@ from repro.errors import WorkloadError
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rates import RateSource
 from repro.queueing.job import Job
+from repro.queueing.ratememo import RunRateMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from repro.queueing.cluster import Machine
@@ -218,12 +219,18 @@ class SymbiosisAffinityDispatcher(Dispatcher):
         every re-optimization round with the current estimates (then
         once more with the true source when the run ends, restoring
         the constructed state — the solve is deterministic in its
-        inputs).  A bound run codec re-flattens immediately.
+        inputs).  A run memo serves its per-generation shared solve.  A
+        bound run codec re-flattens immediately.
         """
-        schedule = optimal_throughput(
-            rates, self.workload, contexts=self._contexts,
-            backend=self._backend,
-        )
+        if isinstance(rates, RunRateMemo):
+            schedule = rates.optimal_schedule(
+                self.workload, self._contexts, self._backend
+            )
+        else:
+            schedule = optimal_throughput(
+                rates, self.workload, contexts=self._contexts,
+                backend=self._backend,
+            )
         self.fractions: dict[tuple[str, ...], float] = dict(schedule.fractions)
         affinity: dict[tuple[str, str], float] = {}
         for coschedule, fraction in self.fractions.items():

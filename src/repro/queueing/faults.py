@@ -39,8 +39,9 @@ Lifecycle semantics:
   ``retry_budget`` is exhausted.  The machine is DOWN until a repair
   drawn with mean ``mttr``; repairs re-arm the individual crash
   process.  Down/up transitions fire the membership hook (MAXTP
-  re-solves its LP via ``reoptimize``, the affinity dispatcher
-  rebuilds its tables via ``rebuild``).
+  refreshes its LP targets via ``reoptimize``, the affinity
+  dispatcher rebuilds its tables via ``rebuild``; both share the
+  probe memo's one LP solve per rate generation).
 * ``outage`` (correlated, mean ``correlated_mtbf``): samples
   ``blast_fraction`` of the machines; with ``drain_grace > 0`` each
   first enters DRAINING (no new work, running jobs continue) and goes

@@ -76,9 +76,12 @@ def synthetic_rates(
         for combo in multisets(names, size):
             distinct = len(set(combo))
             factor = 1.0 + 0.35 * (size - 1) - 0.08 * (distinct - 1)
+            # ``dict.fromkeys`` keeps the sorted type order: a ``set``
+            # here would make the dict order, and so the order the
+            # estimator draws noise in, follow ``PYTHONHASHSEED``.
             table[combo] = {
                 t: base[t] * combo.count(t) * factor / size
-                for t in set(combo)
+                for t in dict.fromkeys(combo)
             }
     return TableRates(table), names
 

@@ -29,6 +29,12 @@ MAXIT/SRPT machines revisit a handful of count vectors for thousands
 of events, so candidate enumeration amortizes to a dict hit — the
 "delta-update" replacement for rebuilding every multiset per decision.
 
+The LP layer (:meth:`optimal_schedule`) memoizes the Section-IV
+throughput LP solved over the memo itself.  The LP reads only
+``type_rates``, whose answers are fixed until :meth:`clear`, so every
+MAXTP scheduler and the affinity dispatcher of a run share one solve
+per rate generation instead of each re-solving the same program.
+
 Cache efficacy is observable: ``stats`` mirrors
 :class:`repro.microarch.rate_cache.CacheStats` (hits/misses over every
 memoized layer), and :meth:`stats_dict` adds per-layer entry counts.
@@ -41,9 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import optimal as core_optimal
+from repro.core.workload import Workload
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rate_cache import CacheStats
-from repro.microarch.rates import RateSource
+from repro.microarch.rates import RateSource, infer_contexts
 from repro.util.multiset import sub_multisets
 
 __all__ = ["RunRateMemo", "ProbeCandidate", "CandidateSet"]
@@ -223,6 +231,9 @@ class RunRateMemo:
         self._probes: dict[
             tuple[tuple[tuple[int, int], ...], int], CandidateSet
         ] = {}
+        self._schedules: dict[
+            tuple[Workload, int, str], core_optimal.OptimalSchedule
+        ] = {}
 
     # ------------------------------------------------------------------
     # Legacy string path
@@ -389,8 +400,37 @@ class RunRateMemo:
             self.stats.hits += 1
         return cached
 
+    # ------------------------------------------------------------------
+    # Offline LP
+    # ------------------------------------------------------------------
+    def optimal_schedule(
+        self,
+        workload: Workload,
+        contexts: int | None = None,
+        backend: str = "simplex",
+    ) -> core_optimal.OptimalSchedule:
+        """The Section-IV LP solved over this memo's rates (memoized).
+
+        Exactly ``optimal_throughput(self, workload, ...)``: the LP
+        reads only :meth:`type_rates`, whose answers stay fixed until
+        :meth:`clear`, so one solve per ``(workload, contexts,
+        backend)`` serves every consumer of a rate generation.  The
+        returned schedule is shared — callers copy ``fractions``
+        before mutating it.
+        """
+        k = infer_contexts(self, contexts)
+        key = (workload, k, backend)
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = core_optimal.optimal_throughput(
+                self, workload, contexts=k, backend=backend
+            )
+            self._schedules[key] = schedule
+        return schedule
+
     def clear(self) -> None:
-        """Flush every memoized rate layer, keeping the codec.
+        """Flush every memoized rate layer and LP schedule, keeping
+        the codec.
 
         The estimation layer calls this when the estimator publishes a
         new epoch of rates: all cached floats are stale, but interned
@@ -401,6 +441,7 @@ class RunRateMemo:
         self._per_job.clear()
         self._compiled.clear()
         self._probes.clear()
+        self._schedules.clear()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,6 +31,7 @@ from repro.core.optimal import optimal_throughput
 from repro.core.workload import Workload
 from repro.microarch.rates import RateSource
 from repro.queueing.job import Job
+from repro.queueing.ratememo import RunRateMemo
 from repro.util.multiset import sub_multisets
 
 __all__ = [
@@ -115,7 +116,8 @@ class Scheduler(ABC):
         (and once at run start / run end with the estimated / true
         source respectively).  Policies without an offline phase —
         FCFS, MAXIT, SRPT probe their bound source live — have nothing
-        to refresh; MAXTP re-solves its LP.
+        to refresh; MAXTP takes fresh LP fractions (from the memo's
+        shared per-generation solve when ``rates`` is a run memo).
         """
 
     def _pick_oldest(
@@ -243,11 +245,8 @@ class MaxTpScheduler(Scheduler):
         super().__init__(rates, contexts)
         self.workload = workload
         self._backend = backend
-        schedule = optimal_throughput(
-            rates, workload, contexts=contexts, backend=backend
-        )
-        self.target_fractions: dict[tuple[str, ...], float] = dict(
-            schedule.fractions
+        self.target_fractions: dict[tuple[str, ...], float] = self._solve(
+            rates
         )
         self.time_in: dict[tuple[str, ...], float] = {
             s: 0.0 for s in self.target_fractions
@@ -294,15 +293,28 @@ class MaxTpScheduler(Scheduler):
         at the truth) the solve is deterministic, so the refreshed
         fractions — and every subsequent deficit — are unchanged.
         """
-        schedule = optimal_throughput(
-            rates,
-            self.workload,
-            contexts=self.contexts,
-            backend=self._backend,
-        )
-        fractions = dict(schedule.fractions)
+        fractions = self._solve(rates)
         self.time_in = {s: self.time_in.get(s, 0.0) for s in fractions}
         self.target_fractions = fractions
+
+    def _solve(self, rates: RateSource) -> dict[tuple[str, ...], float]:
+        """A private copy of the LP-optimal fractions over ``rates``.
+
+        A run memo serves its per-generation shared solve; any other
+        source is solved afresh.
+        """
+        if isinstance(rates, RunRateMemo):
+            schedule = rates.optimal_schedule(
+                self.workload, self.contexts, self._backend
+            )
+        else:
+            schedule = optimal_throughput(
+                rates,
+                self.workload,
+                contexts=self.contexts,
+                backend=self._backend,
+            )
+        return dict(schedule.fractions)
 
     def _deficit(self, coschedule: tuple[str, ...]) -> float:
         target = self.target_fractions[coschedule]

@@ -693,6 +693,186 @@ class TestFaultyGoldens:
 
 
 # ----------------------------------------------------------------------
+# Estimated + faulty golden: both re-planning triggers at once.
+# ----------------------------------------------------------------------
+#: MAXTP behind the affinity dispatcher with noisy estimates (the
+#: heavy-tail cell's noise and seed) *and* the ``chaos`` fault flavour:
+#: estimator epochs and membership changes both re-solve the offline
+#: LP in one run.  Pins metrics, fault stats and estimator stats.
+ESTIMATED_FAULTY_CELL = ("heavy_tail", "affinity", "chaos", 0.4, 37)
+
+
+def estimated_faulty_golden_path(scenario: str, dispatcher: str) -> Path:
+    return GOLDEN_DIR / f"estimated_faulty__{scenario}__{dispatcher}.json"
+
+
+def run_estimated_faulty_golden(
+    jobs: list[Job],
+    scenario_name: str,
+    dispatcher: str,
+    faults: FaultConfig,
+    noise: float,
+    noise_seed: int,
+    engine: str | None = None,
+) -> tuple[ClusterMetrics, dict | None, dict | None]:
+    """The frozen estimated + faulty configuration: returns
+    ``(metrics, last_fault_stats, last_estimator_stats)``."""
+    from repro.queueing.estimation import EstimationConfig
+
+    scenario = get_scenario(scenario_name)
+    cluster = Cluster(
+        GOLDEN_RATES,
+        [
+            make_scheduler(
+                "maxtp", GOLDEN_RATES, GOLDEN_CONTEXTS,
+                workload=GOLDEN_WORKLOAD,
+            )
+            for _ in range(GOLDEN_MACHINES)
+        ],
+        make_dispatcher(
+            dispatcher,
+            rates=GOLDEN_RATES,
+            workload=GOLDEN_WORKLOAD,
+            contexts=GOLDEN_CONTEXTS,
+        ),
+    )
+    metrics = cluster.run(
+        jobs,
+        stop_when_fewer_than=(
+            GOLDEN_MACHINES * GOLDEN_CONTEXTS
+            if scenario.saturated
+            else None
+        ),
+        keep_in_system=(
+            scenario.backlog_per_machine if scenario.saturated else None
+        ),
+        engine=engine,
+        rate_source="estimated",
+        estimation=EstimationConfig(
+            noise=noise,
+            prior="single_run",
+            reopt_observations=ESTIMATED_REOPT,
+            seed=noise_seed,
+        ),
+        faults=faults,
+    )
+    return metrics, cluster.last_fault_stats, cluster.last_estimator_stats
+
+
+class TestEstimatedFaultyGolden:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_estimated_faulty_cell(self, engine, update_golden):
+        scenario, dispatcher, flavour, noise, noise_seed = (
+            ESTIMATED_FAULTY_CELL
+        )
+        faults = FAULT_FLAVOURS[flavour]
+        path = estimated_faulty_golden_path(scenario, dispatcher)
+        if update_golden:
+            mean_rate = golden_mean_rate(scenario)
+            if engine != ENGINES[0]:
+                runs = [
+                    run_estimated_faulty_golden(
+                        build_golden_stream(scenario, mean_rate),
+                        scenario, dispatcher, faults, noise, noise_seed,
+                        engine=e,
+                    )
+                    for e in (ENGINES[0], engine)
+                ]
+                (ref, ref_faults, ref_est), (got, got_faults, got_est) = runs
+                assert to_jsonable(got) == to_jsonable(ref)
+                assert got_faults == ref_faults
+                assert got_est == ref_est
+                return
+            trace = trace_from_jobs(
+                build_golden_stream(scenario, mean_rate),
+                metadata={
+                    "scenario": scenario,
+                    "seed": GOLDEN_SEED,
+                    "mean_rate": mean_rate,
+                    "rate_source": "estimated",
+                    "faults": flavour,
+                },
+            )
+            metrics, fault_stats, estimator_stats = (
+                run_estimated_faulty_golden(
+                    jobs_from_trace(json.loads(json.dumps(trace))),
+                    scenario, dispatcher, faults, noise, noise_seed,
+                )
+            )
+            # Both triggers must actually fire on golden timescales.
+            assert fault_stats["crashes"] > 0
+            assert fault_stats["degrade_episodes"] > 0
+            assert estimator_stats["epoch"] > 1
+            payload = {
+                "scenario": scenario,
+                "dispatcher": dispatcher,
+                "flavour": flavour,
+                "n_machines": GOLDEN_MACHINES,
+                "contexts": GOLDEN_CONTEXTS,
+                "seed": GOLDEN_SEED,
+                "mean_rate": mean_rate,
+                "noise": noise,
+                "noise_seed": noise_seed,
+                "prior": "single_run",
+                "reopt_observations": ESTIMATED_REOPT,
+                "faults": faults.to_jsonable(),
+                "trace": trace,
+                "expected": to_jsonable(metrics),
+                "fault_stats": fault_stats,
+                "estimator_stats": estimator_stats,
+            }
+            with path.open("w") as fp:
+                json.dump(payload, fp, indent=2, sort_keys=True)
+                fp.write("\n")
+            return
+        if not path.exists():
+            pytest.fail(
+                f"missing golden file {path.name}; run "
+                "`python -m pytest tests/integration/test_golden_traces.py "
+                "--update-golden` and commit the result"
+            )
+        golden = json.loads(path.read_text())
+
+        if engine == ENGINES[0]:
+            rebuilt = trace_from_jobs(
+                build_golden_stream(scenario, float(golden["mean_rate"])),
+                metadata=golden["trace"]["metadata"],
+            )
+            drift = diff_payload(golden["trace"], rebuilt)
+            if drift:
+                pytest.fail(
+                    f"[{path.name}] arrival-process drift:\n"
+                    + "\n".join(drift[:20])
+                )
+
+        metrics, fault_stats, estimator_stats = run_estimated_faulty_golden(
+            jobs_from_trace(golden["trace"]),
+            scenario,
+            dispatcher,
+            FaultConfig.from_jsonable(golden["faults"]),
+            float(golden["noise"]),
+            int(golden["noise_seed"]),
+            engine=engine,
+        )
+        drift = diff_payload(golden["expected"], to_jsonable(metrics))
+        drift += diff_payload(
+            golden["fault_stats"], fault_stats, path="fault_stats"
+        )
+        drift += diff_payload(
+            golden["estimator_stats"], estimator_stats,
+            path="estimator_stats",
+        )
+        if drift:
+            pytest.fail(
+                f"[{path.name}] estimated+faulty drift — the {engine} "
+                "engine no longer reproduces the committed run:\n"
+                + "\n".join(drift[:20])
+                + "\n(run --update-golden only if this drift is "
+                "intentional)"
+            )
+
+
+# ----------------------------------------------------------------------
 # Hotpath saturated-workload goldens (perf-trajectory coverage).
 # ----------------------------------------------------------------------
 #: Reduced-size frozen replica of ``hotpath.saturated_cluster``: same
