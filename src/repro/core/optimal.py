@@ -14,17 +14,29 @@ deliberately worst one, and together they bound what *any* scheduler can
 achieve on the workload.  A vertex optimum uses at most N coschedules
 (the number of equality constraints), a property the paper points out
 and our tests assert.
+
+The program is assembled directly as a :class:`~repro.lp.standard_form.
+StandardForm` from the coschedule x type rate matrix — no modeling
+layer on the re-planning path, which estimated-rate runs take once per
+estimator epoch — and solved through :meth:`StandardForm.solve`, the
+entry :meth:`repro.lp.model.Model.solve` uses too.  The same program
+written with :class:`~repro.lp.model.Model` is kept in the test suite
+as the reference the arrays must equal float for float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import SolverError, WorkloadError
 from repro.core.workload import Workload
-from repro.lp.model import LinearExpr, Model, Sense
-from repro.microarch.rates import RateSource, infer_contexts
+from repro.lp.model import Sense
+from repro.lp.standard_form import StandardForm
+from repro.microarch.rates import RateSource, check_rates, infer_contexts
 
 __all__ = ["OptimalSchedule", "optimal_throughput", "worst_throughput"]
 
@@ -87,10 +99,69 @@ def _normalize_weights(
     if missing:
         raise WorkloadError(f"type_weights missing entries for {missing}")
     values = {b: float(type_weights[b]) for b in workload.types}
-    if any(v <= 0.0 for v in values.values()):
-        raise WorkloadError("type_weights must be positive")
+    if not all(0.0 < v < math.inf for v in values.values()):
+        raise WorkloadError("type_weights must be positive and finite")
     total = sum(values.values())
     return {b: v / total for b, v in values.items()}
+
+
+def _standard_form(
+    coschedules: list[tuple[str, ...]],
+    entries: list[dict[str, float]],
+    workload: Workload,
+    weights: Mapping[str, float],
+    sense: Sense,
+) -> StandardForm:
+    """The throughput LP as ``min c'x, Ax = b, x >= 0`` over the
+    coschedule x type rate matrix, one column per coschedule.
+
+    Row 0 is the time budget ``sum_s x_s = 1``.  Row ``i >= 1`` is the
+    work proportionality of type ``b = types[i]`` against the reference
+    type (Equation 5, generalized): each type's share of the executed
+    work matches its weight, ``work_b / w_b = work_ref / w_ref``,
+    written with a ``w_ref / w_b`` scale so the uniform case is the
+    paper's equal-work constraint verbatim.  ``c`` is ``it(s)``, negated
+    to maximize.
+
+    Every entry is the float :func:`~repro.lp.standard_form.
+    to_standard_form` computes for the same program written with
+    :class:`~repro.lp.model.Model` (kept as the reference in the test
+    suite), signed zeros included: a coefficient is ``0.0 + coef``, and
+    an equal-work right-hand side starts at ``-0.0`` and is reduced by
+    ``coef * 0.0`` per column, so it ends ``+0.0`` exactly when some
+    coefficient carries a sign bit.  The simplex therefore pivots
+    identically on both.
+    """
+    types = workload.types
+    rates = np.array(
+        [[entry.get(b, 0.0) for b in types] for entry in entries]
+    )
+    it = np.array([sum(entry.values()) for entry in entries])
+    if not (np.isfinite(it).all() and (rates >= 0.0).all()):
+        for s, entry in zip(coschedules, entries):
+            check_rates(s, entry)
+    reference = types[0]
+    scale = np.array([weights[reference] / weights[b] for b in types[1:]])
+    balance = (rates[:, 1:] * scale - rates[:, :1]).T
+    n_rows = len(types)
+    A = np.empty((n_rows, len(coschedules)))
+    A[0] = 1.0
+    A[1:] = 0.0 + balance
+    rhs = np.where(np.signbit(balance).any(axis=1), 0.0, -0.0)
+    sign = 1.0 if sense is Sense.MINIMIZE else -1.0
+    return StandardForm(
+        c=sign * (0.0 + it),
+        A=A,
+        b=np.concatenate(([1.0], rhs)),
+        # The objective has no constant; adding ``it(s) * 0.0`` per
+        # column to 0.0 leaves +0.0 for any finite ``it``.
+        objective_constant=sign * 0.0,
+        objective_sign=sign,
+        column_meaning=[("var", (s, 0.0, 1.0)) for s in coschedules],
+        row_names=["time_budget"]
+        + [f"equal_work[{b}]" for b in types[1:]],
+        row_signs=[1.0] * n_rows,
+    )
 
 
 def _solve(
@@ -103,40 +174,10 @@ def _solve(
 ) -> OptimalSchedule:
     k = infer_contexts(rates, contexts)
     coschedules = workload.coschedules(k)
-    type_rates = {s: rates.type_rates(s) for s in coschedules}
+    entries = [rates.type_rates(s) for s in coschedules]
     weights = _normalize_weights(workload, type_weights)
-
-    model = Model(
-        name=f"{'max' if sense is Sense.MAXIMIZE else 'min'}_tp[{workload.label()}]",
-        sense=sense,
-    )
-    x = {s: model.add_variable(f"x[{','.join(s)}]") for s in coschedules}
-
-    total_time = LinearExpr({x[s]: 1.0 for s in coschedules})
-    model.add_constraint(total_time == 1.0, name="time_budget")
-
-    # Work proportionality (Equation 5, generalized): each type's share
-    # of the executed work matches its weight — work_b / w_b equals
-    # work_ref / w_ref, written with a w_ref/w_b scale so the uniform
-    # case reduces to the paper's equal-work constraint verbatim.
-    reference = workload.types[0]
-    for b in workload.types[1:]:
-        scale = weights[reference] / weights[b]
-        balance = LinearExpr(
-            {
-                x[s]: type_rates[s].get(b, 0.0) * scale
-                - type_rates[s].get(reference, 0.0)
-                for s in coschedules
-            }
-        )
-        model.add_constraint(balance == 0.0, name=f"equal_work[{b}]")
-
-    objective = LinearExpr(
-        {x[s]: sum(type_rates[s].values()) for s in coschedules}
-    )
-    model.set_objective(objective)
-
-    solution = model.solve(backend=backend)
+    form = _standard_form(coschedules, entries, workload, weights, sense)
+    solution = form.solve(backend=backend)
     if not solution.is_optimal:
         raise SolverError(
             f"throughput LP for {workload.label()} terminated "
@@ -144,12 +185,11 @@ def _solve(
             "always be satisfiable with positive rates"
         )
 
-    fractions: dict[tuple[str, ...], float] = {}
-    for s in coschedules:
-        value = solution.value(x[s].name)
-        if value > 1e-12:
-            fractions[s] = value
-
+    # Columns are labelled by coschedule, so the recovered values are
+    # already keyed (and ordered) by coschedule.
+    fractions = {
+        s: value for s, value in solution.values.items() if value > 1e-12
+    }
     return OptimalSchedule(
         workload=workload,
         throughput=solution.objective,

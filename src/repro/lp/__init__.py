@@ -5,8 +5,12 @@ Programming Kit.  This package provides an equivalent, self-contained
 stack:
 
 * :mod:`repro.lp.model` — a small modeling layer (variables, linear
-  expressions, constraints, objective) so the Section-IV formulation in
-  :mod:`repro.core.optimal` reads like the paper's math.
+  expressions, constraints, objective) that reads like the paper's
+  math; the test suite states the Section-IV formulation with it.
+* :mod:`repro.lp.standard_form` — ``min c'x, Ax = b, x >= 0`` with the
+  maps back to named variables and constraints.
+  :meth:`StandardForm.solve` is the one solve entry of both backends;
+  :mod:`repro.core.optimal` builds its form directly as arrays.
 * :mod:`repro.lp.simplex` — a dense two-phase primal simplex solver with
   Bland's anti-cycling rule, the default backend.
 * :mod:`repro.lp.scipy_backend` — an optional backend delegating to

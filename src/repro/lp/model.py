@@ -265,15 +265,9 @@ class Model:
             backend: ``"simplex"`` (default, self-contained) or
                 ``"scipy"`` (requires scipy; used for cross-checks).
         """
-        if backend == "simplex":
-            from repro.lp.simplex import solve_model
+        from repro.lp.standard_form import to_standard_form
 
-            return solve_model(self)
-        if backend == "scipy":
-            from repro.lp.scipy_backend import solve_model_scipy
-
-            return solve_model_scipy(self)
-        raise ConfigurationError(f"unknown LP backend {backend!r}")
+        return to_standard_form(self).solve(backend=backend)
 
     def check_feasible(
         self, values: Mapping[str, float], *, tolerance: float = 1e-7

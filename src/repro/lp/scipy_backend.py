@@ -10,15 +10,14 @@ results could be cross-checked against glpk.
 from __future__ import annotations
 
 from repro.errors import SolverError
-from repro.lp.model import Model
 from repro.lp.solution import LPSolution, SolveStatus
-from repro.lp.standard_form import to_standard_form
+from repro.lp.standard_form import StandardForm
 
-__all__ = ["solve_model_scipy"]
+__all__ = ["solve_form_scipy"]
 
 
-def solve_model_scipy(model: Model) -> LPSolution:
-    """Solve a model via ``scipy.optimize.linprog`` on its standard form."""
+def solve_form_scipy(form: StandardForm) -> LPSolution:
+    """Solve a standard form via ``scipy.optimize.linprog``."""
     try:
         from scipy.optimize import linprog
     except ImportError as exc:  # pragma: no cover - environment dependent
@@ -26,7 +25,6 @@ def solve_model_scipy(model: Model) -> LPSolution:
             "the 'scipy' LP backend requires scipy to be installed"
         ) from exc
 
-    form = to_standard_form(model)
     result = linprog(
         c=form.c,
         A_eq=form.A,

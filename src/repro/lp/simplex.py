@@ -1,6 +1,7 @@
 """Dense two-phase primal simplex solver.
 
-This is the default backend for :meth:`repro.lp.model.Model.solve` and
+This is the default backend of ``StandardForm.solve`` (and so of
+:meth:`repro.lp.model.Model.solve`) and
 the self-contained replacement for the paper's use of glpk.  It is a
 textbook tableau implementation with:
 
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SolverError
-from repro.lp.model import Model
 from repro.lp.solution import LPSolution, SolveStatus
-from repro.lp.standard_form import StandardForm, to_standard_form
+from repro.lp.standard_form import StandardForm
 
-__all__ = ["StandardFormResult", "solve_standard_form", "solve_model"]
+__all__ = ["StandardFormResult", "solve_standard_form", "solve_form"]
 
 _TOLERANCE = 1e-9
 _BLAND_SWITCH = 2000
@@ -243,9 +243,8 @@ def solve_standard_form(
     )
 
 
-def solve_model(model: Model) -> LPSolution:
-    """Compile ``model`` to standard form, solve it, map the result back."""
-    form: StandardForm = to_standard_form(model)
+def solve_form(form: StandardForm) -> LPSolution:
+    """Solve a standard form and map the result back."""
     result = solve_standard_form(form.c, form.A, form.b)
     if result.status is not SolveStatus.OPTIMAL:
         return LPSolution(status=result.status, iterations=result.iterations)

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.lp.model import Model, Sense, _Relation
+from repro.lp.solution import LPSolution
 
 __all__ = ["StandardForm", "to_standard_form"]
 
@@ -39,7 +41,8 @@ class StandardForm:
         objective_sign: +1 if the original model minimized, -1 if it
             maximized (applied when reporting the original objective).
         column_meaning: per column, a tuple ``(kind, payload)`` where
-            kind is ``"var"`` (payload: (name, shift, sign)) or
+            kind is ``"var"`` (payload: (name, shift, sign); the name
+            is any hashable label and keys the recovered values) or
             ``"slack"`` (payload: constraint name).
         row_names: original constraint name per row ("" for bound rows),
             used to report duals.
@@ -65,6 +68,29 @@ class StandardForm:
     def n_cols(self) -> int:
         """Number of standard-form columns."""
         return self.A.shape[1]
+
+    def solve(self, *, backend: str = "simplex") -> LPSolution:
+        """Solve this form and map the result back to the original
+        variables, objective and constraints.
+
+        The one solve entry of every backend: :meth:`Model.solve`
+        compiles its model with :func:`to_standard_form` and lands
+        here, and callers that assemble a form directly as arrays
+        (the Section-IV LP in :mod:`repro.core.optimal`) call it too.
+
+        Args:
+            backend: ``"simplex"`` (default, self-contained) or
+                ``"scipy"`` (requires scipy; used for cross-checks).
+        """
+        if backend == "simplex":
+            from repro.lp.simplex import solve_form
+
+            return solve_form(self)
+        if backend == "scipy":
+            from repro.lp.scipy_backend import solve_form_scipy
+
+            return solve_form_scipy(self)
+        raise ConfigurationError(f"unknown LP backend {backend!r}")
 
     def recover_values(self, x: np.ndarray) -> dict[str, float]:
         """Map a standard-form point back to original variable values."""

@@ -22,6 +22,7 @@ repository runs (plus hit/miss statistics), wrap any of these in
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from typing import IO, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -37,6 +38,7 @@ __all__ = [
     "RateTable",
     "TableRates",
     "canonical_coschedule",
+    "check_rates",
     "infer_contexts",
     "instantaneous_throughput",
 ]
@@ -58,6 +60,28 @@ def canonical_coschedule(names: Iterable[str]) -> tuple[str, ...]:
                 return tuple(sorted(names))
         return names
     return tuple(sorted(names))
+
+
+def check_rates(
+    coschedule: tuple[str, ...], rates: Mapping[str, float]
+) -> None:
+    """Reject a rate entry with a non-finite or negative rate.
+
+    The one check behind every place rates enter the program — a run's
+    memo reading its source, :class:`TableRates` construction and the
+    Section-IV LP build — so bad rates fail with one typed error and
+    one message on every path instead of whatever the first float
+    operation downstream happens to do with them.
+
+    Raises:
+        WorkloadError: naming the coschedule, the type and its rate.
+    """
+    for job_type, rate in rates.items():
+        if not 0.0 <= rate < math.inf:
+            raise WorkloadError(
+                f"rate of {job_type!r} in coschedule {coschedule} is "
+                f"{rate}; rates must be finite and non-negative"
+            )
 
 
 def infer_contexts(rates: object, contexts: int | None = None) -> int:
@@ -276,8 +300,7 @@ class TableRates:
                     f"rate entry for {key} names types {sorted(entry)}, "
                     f"expected {sorted(set(key))}"
                 )
-            if any(r < 0.0 for r in entry.values()):
-                raise WorkloadError(f"negative rate in entry for {key}")
+            check_rates(key, entry)
             self._table[key] = entry
 
     def type_rates(self, coschedule: Sequence[str]) -> dict[str, float]:

@@ -26,9 +26,11 @@ specialized event loop:
   job pools;
 * **memoized probe scoring** — MAXIT/SRPT/MAXTP score the memoized
   candidate set of the machine's capped count vector
-  (:meth:`~repro.queueing.ratememo.RunRateMemo.probe_filtered`), with
-  SRPT's per-type prefix sums performing the exact additions of the
-  string path.
+  (:meth:`~repro.queueing.ratememo.RunRateMemo.probe_build`): the
+  formable rows of a rate-free candidate universe that survives every
+  estimator epoch, rated lazily once per rate generation, with SRPT's
+  per-type prefix sums performing the exact additions of the string
+  path.
 
 **Bit-identity is the contract.**  Every float written to a job, a
 metric, or a scheduler observation is produced by the same operation,
@@ -310,15 +312,7 @@ def run_compiled(
     all_ids = list(range(n_machines))
     codec = memo.codec
     probe_cached = probe_memo.probe_cached
-    # Filtering a full-cap universe reads rates of coschedules the
-    # queue cannot form.  Over an estimator that read is not free — it
-    # cold-starts an estimate, which the legacy path never does — so
-    # estimate-backed probes enumerate only the formable candidates.
-    probe_build = (
-        probe_memo.probe_filtered
-        if probe_memo is memo
-        else probe_memo.probe_candidates
-    )
+    probe_build = probe_memo.probe_build
     compiled_entry = memo.compiled_entry
     heappush, heappop = heapq.heappush, heapq.heappop
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -41,9 +42,15 @@ class Job:
     type_code: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.size <= 0.0:
+        if not 0.0 < self.size < math.inf:
             raise SimulationError(
-                f"job {self.job_id} has non-positive size {self.size}"
+                f"job {self.job_id} has size {self.size}; sizes must be "
+                "positive and finite"
+            )
+        if not math.isfinite(self.arrival_time):
+            raise SimulationError(
+                f"job {self.job_id} has non-finite arrival time "
+                f"{self.arrival_time}"
             )
         if self.remaining < 0.0:
             self.remaining = self.size

@@ -22,12 +22,17 @@ compiled engine hands out is the exact float the legacy path computes,
 and the golden traces in ``tests/golden/`` pass unchanged on both
 engines.
 
-The probe layer (:meth:`probe_candidates`) memoizes, per (present-jobs
-count vector, coschedule size), the full candidate multiset list with
+The probe layer (:meth:`probe_build`) splits what depends on rates
+from what does not.  Per (present type ids, coschedule size) it keeps
+a rate-free *universe* — candidate names, count items, code keys and
+an integer formability matrix — that survives :meth:`clear`.  A probe
+of one capped present-jobs count vector filters its universe, rates
+the formable candidates lazily into a per-generation table (dropped
+by :meth:`clear`) and memoizes the resulting candidate list with
 precomputed instantaneous throughput and per-job rates.  Saturated
 MAXIT/SRPT machines revisit a handful of count vectors for thousands
-of events, so candidate enumeration amortizes to a dict hit — the
-"delta-update" replacement for rebuilding every multiset per decision.
+of events, so candidate enumeration amortizes to a dict hit, and an
+estimator epoch re-rates candidates without re-enumerating them.
 
 The LP layer (:meth:`optimal_schedule`) memoizes the Section-IV
 throughput LP solved over the memo itself.  The LP reads only
@@ -51,7 +56,7 @@ from repro.core import optimal as core_optimal
 from repro.core.workload import Workload
 from repro.microarch.codec import TypeCodec
 from repro.microarch.rate_cache import CacheStats
-from repro.microarch.rates import RateSource, infer_contexts
+from repro.microarch.rates import RateSource, check_rates, infer_contexts
 from repro.util.multiset import sub_multisets
 
 __all__ = ["RunRateMemo", "ProbeCandidate", "CandidateSet"]
@@ -130,23 +135,18 @@ class ProbeCandidate:
         self,
         names: tuple[str, ...],
         count_items: tuple[tuple[int, int], ...],
+        codes_key: tuple[int, ...],
         it: float,
         per_job_rates: tuple[float, ...],
     ) -> None:
         self.names = names
         self.count_items = count_items
+        self.codes_key = codes_key
         self.it = it
         self.per_job_rates = per_job_rates
         self.srpt_items = tuple(
             (code, count, rate)
             for (code, count), rate in zip(count_items, per_job_rates)
-        )
-        self.codes_key = tuple(
-            sorted(
-                code
-                for code, count in count_items
-                for _ in range(count)
-            )
         )
 
 
@@ -162,19 +162,9 @@ class CandidateSet:
         feasible: candidates with strictly positive per-job rates for
             every type (SRPT skips the rest, every time, because rates
             depend only on the multiset).
-        filter_np: lazily attached per-candidate count matrix (one row
-            per candidate, one column per type id of the probe key, in
-            ascending-id order) used by
-            :meth:`RunRateMemo.probe_filtered` to select the formable
-            candidates of a count vector in one vectorized comparison.
     """
 
-    __slots__ = (
-        "candidates",
-        "max_it_group",
-        "feasible",
-        "filter_np",
-    )
+    __slots__ = ("candidates", "max_it_group", "feasible")
 
     def __init__(self, candidates: list[ProbeCandidate]) -> None:
         self.candidates = candidates
@@ -185,7 +175,62 @@ class CandidateSet:
             for c in candidates
             if all(rate > 0.0 for rate in c.per_job_rates)
         ]
-        self.filter_np = None
+
+
+class _Universe:
+    """Every multiset of one size over one set of present types — the
+    rate-free half of a probe, kept across rate generations.
+
+    Built once per (present type ids, size) through the legacy
+    enumeration, so ``names`` is name-sorted exactly as
+    ``sorted(set(sub_multisets(present, size)))`` is.
+
+    Attributes:
+        names: candidate name tuples, name-sorted.
+        count_items: per candidate, ``((type_id, count), ...)`` in
+            ``Counter(names).items()`` order.
+        codes_keys: per candidate, its sorted flat code tuple.
+        matrix: per-candidate type counts, one row per candidate and
+            one column per present type id (ascending), so a count
+            vector selects the candidates it can form with one integer
+            comparison (memoized per count vector by :meth:`rows`).
+    """
+
+    __slots__ = ("names", "count_items", "codes_keys", "matrix", "_rows")
+
+    def __init__(
+        self, codec: TypeCodec, codes: tuple[int, ...], size: int
+    ) -> None:
+        decode, encode = codec.decode, codec.encode
+        present = tuple(
+            sorted(name for code in codes for name in (decode(code),) * size)
+        )
+        self.names = sorted(set(sub_multisets(present, size)))
+        self.count_items = [
+            tuple(
+                (encode(name), count) for name, count in Counter(names).items()
+            )
+            for names in self.names
+        ]
+        self.codes_keys = [
+            tuple(sorted(code for code, count in items for _ in range(count)))
+            for items in self.count_items
+        ]
+        column = {code: i for i, code in enumerate(codes)}
+        self.matrix = np.zeros((len(self.names), len(codes)), dtype=np.int64)
+        for row, items in enumerate(self.count_items):
+            for code, count in items:
+                self.matrix[row, column[code]] = count
+        self._rows: dict[tuple[int, ...], list[int]] = {}
+
+    def rows(self, counts: tuple[int, ...]) -> list[int]:
+        """Indices of the candidates a (capped) count vector over the
+        present types can form, ascending — so in name order."""
+        rows = self._rows.get(counts)
+        if rows is None:
+            formable = (self.matrix <= np.array(counts)).all(axis=1)
+            rows = self._rows[counts] = np.flatnonzero(formable).tolist()
+        return rows
 
 
 class RunRateMemo:
@@ -228,6 +273,8 @@ class RunRateMemo:
         self._type_rates: dict[tuple[str, ...], dict[str, float]] = {}
         self._per_job: dict[tuple[str, ...], dict[str, float]] = {}
         self._compiled: dict[tuple[int, ...], _CompiledEntry] = {}
+        self._universes: dict[tuple[tuple[int, ...], int], _Universe] = {}
+        self._rated: dict[tuple[str, ...], ProbeCandidate] = {}
         self._probes: dict[
             tuple[tuple[tuple[int, int], ...], int], CandidateSet
         ] = {}
@@ -245,6 +292,7 @@ class RunRateMemo:
         if entry is None:
             self.stats.misses += 1
             entry = dict(self.source.type_rates(key))
+            check_rates(key, entry)
             self._type_rates[key] = entry
         else:
             self.stats.hits += 1
@@ -282,118 +330,65 @@ class RunRateMemo:
             self.stats.hits += 1
         return entry
 
-    def probe_candidates(
+    def probe_build(
         self, counts_key: tuple[tuple[int, int], ...], size: int
     ) -> CandidateSet:
         """Candidate coschedules of ``size`` for one present-jobs
         count vector (``((type_id, count), ...)``, sorted by id, each
         count capped at ``size``).
 
-        Built once per distinct (count vector, size) via the *legacy*
-        enumeration — ``sorted(set(sub_multisets(present, size)))`` on
-        name tuples — so candidate order, and therefore every
-        tie-break a scheduler performs, matches the string path
-        exactly.  A candidate takes at most ``size`` jobs of any one
-        type, so capping the counts lets deep fluctuating backlogs
-        share one entry instead of re-enumerating per queue length.
+        The candidates are the vector's formable rows of the
+        :class:`_Universe` of its present types, which outlives
+        :meth:`clear`; filtering keeps the universe's name order, so
+        the list equals the legacy ``sorted(set(sub_multisets(
+        present, size)))`` and every tie-break a scheduler performs
+        matches the string path.  Rates are read only for those
+        formable candidates, in that order, and each rated candidate
+        is shared by every probe of the generation.  Over an
+        estimator a rate read cold-starts an estimate, so reading
+        exactly what the legacy path reads keeps the estimator's state
+        identical across engines.  A candidate takes at most ``size``
+        jobs of any one type, so capping the counts lets deep
+        fluctuating backlogs share one entry.
         """
-        key = (counts_key, size)
-        cached = self._probes.get(key)
-        if cached is None:
-            self.stats.misses += 1
-            decode = self.codec.decode
-            present = tuple(
-                sorted(
-                    name
-                    for code, count in counts_key
-                    for name in (decode(code),) * count
-                )
-            )
-            candidates = []
-            for names in sorted(set(sub_multisets(present, size))):
-                entry = self.type_rates(names)
-                counts = Counter(names)
-                count_items = tuple(
-                    (self.codec.encode(name), count)
-                    for name, count in counts.items()
-                )
-                per_job_rates = tuple(
-                    entry.get(name, 0.0) / count
-                    for name, count in counts.items()
-                )
-                candidates.append(
-                    ProbeCandidate(
-                        names, count_items, sum(entry.values()), per_job_rates
-                    )
-                )
-            cached = CandidateSet(candidates)
-            self._probes[key] = cached
-        else:
-            self.stats.hits += 1
-        return cached
-
-    def probe_filtered(
-        self, counts_key: tuple[tuple[int, int], ...], size: int
-    ) -> CandidateSet:
-        """Compiled-engine probe builder: derive a (pre-capped) count
-        vector's candidate set by *filtering the full-cap universe* of
-        its present types instead of re-enumerating multisets.
-
-        The universe — every multiset of ``size`` over the key's
-        present types, i.e. the candidate set of the all-types-at-cap
-        count vector — is built once through the legacy enumeration
-        (so candidate order and floats are exactly the string path's)
-        and then any capped count vector over the same types selects
-        the candidates it can form with one count comparison each,
-        **sharing** the universe's :class:`ProbeCandidate` objects.
-        Both enumerations are name-sorted, so filtering the sorted
-        universe yields the legacy order of the filtered set; the
-        result is cached in the same probe table the legacy builder
-        fills, making the two builders interchangeable entry by entry.
-        """
-        key = (counts_key, size)
-        cached = self._probes.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return cached
-        codes = tuple(code for code, _ in counts_key)
-        cap_key = tuple((code, size) for code in codes)
-        if cap_key == counts_key:
-            # The key is its own universe — legacy build (which also
-            # does the cache accounting for this miss).
-            return self.probe_candidates(counts_key, size)
-        universe = self.probe_candidates(cap_key, size)
         self.stats.misses += 1
-        # Vectorized formability test: one row of per-type counts per
-        # universe candidate (built once per universe, integer
-        # comparisons only — no float arithmetic to keep identical),
-        # masked against this key's availability vector.
-        matrix = universe.filter_np
-        if matrix is None:
-            matrix = np.zeros(
-                (len(universe.candidates), len(codes)), dtype=np.int64
-            )
-            column = {code: i for i, code in enumerate(codes)}
-            for row, candidate in enumerate(universe.candidates):
-                for code, count in candidate.count_items:
-                    matrix[row, column[code]] = count
-            universe.filter_np = matrix
-        avail_vec = np.array(
-            [count for _, count in counts_key], dtype=np.int64
-        )
-        keep = np.flatnonzero((matrix <= avail_vec).all(axis=1))
-        pool = universe.candidates
-        candidates = [pool[i] for i in keep]
-        cached = CandidateSet(candidates)
-        self._probes[key] = cached
-        return cached
+        codes = tuple(code for code, _ in counts_key)
+        universe = self._universes.get((codes, size))
+        if universe is None:
+            universe = _Universe(self.codec, codes, size)
+            self._universes[(codes, size)] = universe
+        rows = universe.rows(tuple(count for _, count in counts_key))
+        decode = self.codec.decode
+        rated = self._rated
+        candidates = []
+        for row in rows:
+            names = universe.names[row]
+            candidate = rated.get(names)
+            if candidate is None:
+                entry = self.type_rates(names)
+                count_items = universe.count_items[row]
+                candidate = ProbeCandidate(
+                    names,
+                    count_items,
+                    universe.codes_keys[row],
+                    sum(entry.values()),
+                    tuple(
+                        entry.get(decode(code), 0.0) / count
+                        for code, count in count_items
+                    ),
+                )
+                rated[names] = candidate
+            candidates.append(candidate)
+        probe = CandidateSet(candidates)
+        self._probes[(counts_key, size)] = probe
+        return probe
 
     def probe_cached(
         self, counts_key: tuple[tuple[int, int], ...], size: int
     ) -> CandidateSet | None:
         """Direct probe lookup for a capped count vector — the
         compiled engine's per-event path.  Returns ``None`` on a miss;
-        the caller then builds the entry with :meth:`probe_filtered`.
+        the caller then builds the entry with :meth:`probe_build`.
         """
         cached = self._probes.get((counts_key, size))
         if cached is not None:
@@ -430,16 +425,18 @@ class RunRateMemo:
 
     def clear(self) -> None:
         """Flush every memoized rate layer and LP schedule, keeping
-        the codec.
+        the codec and the rate-free probe universes.
 
         The estimation layer calls this when the estimator publishes a
         new epoch of rates: all cached floats are stale, but interned
         type ids (and therefore any queue index keyed on the codec)
-        stay valid, so only the rate-derived layers are dropped.
+        and the candidate structure built on them stay valid, so only
+        the rate-derived layers are dropped.
         """
         self._type_rates.clear()
         self._per_job.clear()
         self._compiled.clear()
+        self._rated.clear()
         self._probes.clear()
         self._schedules.clear()
 
@@ -453,6 +450,7 @@ class RunRateMemo:
             "per_job": len(self._per_job),
             "compiled": len(self._compiled),
             "probe_sets": len(self._probes),
+            "probe_universes": len(self._universes),
             "interned_types": self.codec.size,
         }
 

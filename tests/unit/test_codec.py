@@ -67,9 +67,7 @@ class TestCompiledMemo:
     def test_probe_candidates_matches_legacy_enumeration(self, pair_rates):
         memo = RunRateMemo(pair_rates)
         a, b = memo.codec.encode("A"), memo.codec.encode("B")
-        probe = memo.probe_candidates(
-            tuple(sorted(((a, 2), (b, 1)))), 2
-        )
+        probe = memo.probe_build(tuple(sorted(((a, 2), (b, 1)))), 2)
         assert [c.names for c in probe.candidates] == [
             ("A", "A"),
             ("A", "B"),
@@ -92,7 +90,7 @@ class TestCompiledMemo:
         )
         memo = RunRateMemo(rates)
         a, b = memo.codec.encode("A"), memo.codec.encode("B")
-        probe = memo.probe_candidates(tuple(sorted(((a, 2), (b, 2)))), 2)
+        probe = memo.probe_build(tuple(sorted(((a, 2), (b, 2)))), 2)
         assert [c.names for c in probe.feasible] == [("A", "A")]
 
     def test_stats_count_hits_and_misses(self, pair_rates):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -40,3 +42,13 @@ class TestJob:
     def test_bad_size_rejected(self):
         with pytest.raises(SimulationError):
             Job(job_id=0, job_type="a", size=0.0, arrival_time=0.0)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_non_finite_size_rejected(self, size):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            Job(job_id=0, job_type="a", size=size, arrival_time=0.0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(SimulationError, match="non-finite arrival"):
+            Job(job_id=0, job_type="a", size=1.0, arrival_time=arrival)

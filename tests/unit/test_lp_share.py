@@ -4,7 +4,10 @@
 memo until :meth:`RunRateMemo.clear`.  MAXTP's ``reoptimize`` and the
 affinity dispatcher's ``rebuild`` draw from that cache when handed a
 run memo and solve afresh on any other source.  These tests count real
-solves by wrapping :meth:`repro.lp.model.Model.solve`.
+solves by wrapping :meth:`repro.lp.standard_form.StandardForm.solve`,
+the one solve entry of every LP (the Section-IV LP is built directly
+as a standard form; :meth:`repro.lp.model.Model.solve` lands there
+too).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import pytest
 
 from repro.core import optimal as core_optimal
 from repro.core.workload import Workload
-from repro.lp.model import Model
+from repro.lp.standard_form import StandardForm
 from repro.queueing.cluster import Cluster
 from repro.queueing.dispatch import make_dispatcher
 from repro.queueing.estimation import EstimationConfig
@@ -39,13 +42,13 @@ CRASHES = FaultConfig(
 def solves(monkeypatch) -> list[int]:
     """Counts every LP solve from the moment the fixture is requested."""
     count = [0]
-    solve = Model.solve
+    solve = StandardForm.solve
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(Model, "solve", counting)
+    monkeypatch.setattr(StandardForm, "solve", counting)
     return count
 
 

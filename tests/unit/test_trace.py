@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(SimulationError, match="missing fields"):
             jobs_from_trace(payload)
 
+    def test_rejects_non_finite_arrival(self):
+        payload = json.loads(
+            '{"format": "%s", "jobs": [{"job_id": 0, "job_type": "a", '
+            '"size": 1.0, "arrival_time": NaN}]}' % TRACE_FORMAT
+        )
+        with pytest.raises(SimulationError, match="non-finite arrival"):
+            jobs_from_trace(payload)
+
     def test_rejects_out_of_order_arrivals(self):
         jobs = [
             Job(job_id=0, job_type="a", size=1.0, arrival_time=2.0),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.fcfs import fcfs_throughput
@@ -55,6 +57,14 @@ class TestWeightedLp:
             optimal_throughput(
                 synthetic_rates, AB, contexts=2,
                 type_weights={"A": 1.0, "B": 0.0},
+            )
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, synthetic_rates, weight):
+        with pytest.raises(WorkloadError, match="positive and finite"):
+            optimal_throughput(
+                synthetic_rates, AB, contexts=2,
+                type_weights={"A": 1.0, "B": weight},
             )
 
 
