@@ -59,6 +59,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import SimulationError
@@ -253,6 +254,10 @@ def _coded_targets(
         )
         for s in fractions
     ]
+
+
+#: SRPT's pool order: shortest remaining work first, ties by job id.
+_srpt_key = attrgetter("remaining", "job_id")
 
 
 def _sorted_pool(pools: dict, by_code: dict, code: int) -> list[Job]:
@@ -504,36 +509,31 @@ def run_compiled(
         size = ms.machine.contexts
         if n_jobs < size:
             size = n_jobs
-        _, probe = probe_for(ms, size)
+        counts_key, probe = probe_for(ms, size)
         feasible = probe.feasible
         if not feasible:
             raise SimulationError("no feasible coschedule (zero rates?)")
         by_code = ms.machine.jobs.by_code
-        # pools[code] = (jobs shortest-remaining-first, prefix sums) —
-        # the prefix sums perform the exact additions of the legacy
-        # ``sum(pool[:count])``.
-        pools: dict[int, tuple[list[Job], list[float]]] = {}
-
-        def pool(code: int) -> tuple[list[Job], list[float]]:
-            entry = pools.get(code)
-            if entry is None:
-                ordered = sorted(
-                    by_code[code],
-                    key=lambda job: (job.remaining, job.job_id),
-                )
-                prefix = [0.0]
-                acc = 0.0
-                for job in ordered:
-                    acc += job.remaining
-                    prefix.append(acc)
-                entry = (ordered, prefix)
-                pools[code] = entry
-            return entry
+        # No candidate takes more than ``size`` jobs of one type, so each
+        # present type keeps only its ``size`` shortest jobs
+        # (shortest-remaining-first) and their prefix sums — the exact
+        # additions of the legacy ``sum(pool[:count])``.
+        heads: dict[int, list[Job]] = {}
+        prefixes: dict[int, list[float]] = {}
+        for code, _ in counts_key:
+            head = sorted(by_code[code], key=_srpt_key)[:size]
+            prefix = [0.0]
+            acc = 0.0
+            for job in head:
+                acc += job.remaining
+                prefix.append(acc)
+            heads[code] = head
+            prefixes[code] = prefix
 
         def age_of(candidate: ProbeCandidate) -> float:
             age = 0.0
             for code, count in candidate.count_items:
-                for job in pool(code)[0][:count]:
+                for job in heads[code][:count]:
                     age += job.arrival_time
             return age
 
@@ -543,7 +543,7 @@ def run_compiled(
         for candidate in feasible:
             total_remaining = 0.0
             for code, count, rate in candidate.srpt_items:
-                total_remaining += pool(code)[1][count] / rate
+                total_remaining += prefixes[code][count] / rate
             if best_total is None or total_remaining < best_total:
                 best = candidate
                 best_total = total_remaining
@@ -557,7 +557,7 @@ def run_compiled(
                     best_age = age
         chosen: list[Job] = []
         for code, count in best.count_items:
-            chosen.extend(pool(code)[0][:count])
+            chosen.extend(heads[code][:count])
         return chosen, best.codes_key
 
     def pick_maxtp(

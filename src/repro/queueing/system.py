@@ -24,6 +24,17 @@ correctly rounded exact sum of the contributions: the same float for
 any split of the run into windows, including the no-split monolithic
 run.
 
+**Deferred, bounded conversion.**  The conversion is not paid per
+event.  An observation appends its raw floats to pending lists — one
+per coschedule key, plus lists for empty and idle time, work and
+turnaround — and every ``_FLUSH_EVERY`` observations (and before
+anything reads the object) a flush converts each pending float and adds
+each list's integer total to its fields once (``busy`` gains
+``len(key) * total``).  Integer addition is associative and
+distributive, so every field ends at the integer per-observation
+accumulation would give; pending floats never exceed
+``2 * _FLUSH_EVERY``, so memory stays constant.
+
 **Bounded coschedule split.**  ``time_by_coschedule`` holds at most
 ``coschedule_cap`` distinct keys; once the cap is reached, time for
 *new* coschedules accumulates into a single overflow bucket
@@ -48,6 +59,10 @@ __all__ = ["SystemMetrics"]
 #: subnormal ulp), so this scale makes float -> fixed-point exact.
 _SCALE_BITS = 1074
 _SCALE = 1 << _SCALE_BITS
+#: Observations buffered before a flush converts them; each leaves at
+#: most two pending floats (interval time and work).
+_FLUSH_EVERY = 256
+_INF = float("inf")
 
 
 def _fixed(value: float) -> int:
@@ -55,6 +70,20 @@ def _fixed(value: float) -> int:
     n, d = value.as_integer_ratio()
     # d is a power of two for every finite float, so the shift is exact.
     return n << (_SCALE_BITS + 1 - d.bit_length())
+
+
+def _drain(values: list[float]) -> int:
+    """Exact fixed-point sum of pending floats; empties the list.
+
+    The same conversion as :func:`_fixed`, inlined: a call per float
+    would cost more than the conversion.
+    """
+    total = 0
+    for value in values:
+        n, d = value.as_integer_ratio()
+        total += n << (_SCALE_BITS + 1 - d.bit_length())
+    values.clear()
+    return total
 
 
 def _unfixed(accumulated: int) -> float:
@@ -95,6 +124,14 @@ class SystemMetrics:
         "_turnaround",
         "_coschedule",
         "_overflow",
+        "_pending",
+        "_times",
+        "_routes",
+        "_overflow_times",
+        "_empty_times",
+        "_idle_times",
+        "_work_items",
+        "_turnarounds",
         "completed",
         "overflow_intervals",
         "coschedule_cap",
@@ -109,6 +146,19 @@ class SystemMetrics:
         #: exact fixed-point time per running type-multiset.
         self._coschedule: dict[tuple[str, ...], int] = {}
         self._overflow = 0
+        #: observations since the last flush.
+        self._pending = 0
+        #: pending interval times per admitted canonical key.
+        self._times: dict[tuple[str, ...], list[float]] = {}
+        #: running tuple as handed in (canonical or not) -> its list in
+        #: ``_times``; overflowing keys are never cached here.
+        self._routes: dict[tuple[str, ...], list[float]] = {}
+        #: pending overflow times per coschedule width.
+        self._overflow_times: dict[int, list[float]] = {}
+        self._empty_times: list[float] = []
+        self._idle_times: list[float] = []
+        self._work_items: list[float] = []
+        self._turnarounds: list[float] = []
         self.completed = 0
         self.overflow_intervals = 0
         self.coschedule_cap = (
@@ -116,7 +166,7 @@ class SystemMetrics:
         )
 
     # ------------------------------------------------------------------
-    # Accumulation (the engine hot path).
+    # Accumulation (the engine hot path): validate, append, count.
     # ------------------------------------------------------------------
     def observe_interval(
         self,
@@ -126,42 +176,98 @@ class SystemMetrics:
         work: float,
     ) -> None:
         """Account one inter-event interval."""
-        if dt < 0.0:
-            raise SimulationError(f"negative interval {dt}")
+        if not 0.0 <= dt < _INF:
+            raise SimulationError(f"negative or non-finite interval {dt}")
+        if not 0.0 <= work < _INF:
+            raise SimulationError(f"negative or non-finite work {work}")
         if dt == 0.0:
             return
-        n, d = dt.as_integer_ratio()
-        fixed_dt = n << (_SCALE_BITS + 1 - d.bit_length())
-        self._measured += fixed_dt
-        self._busy += len(running_types) * fixed_dt
-        if jobs_in_system == 0:
-            self._empty += fixed_dt
-        if work != 0.0:
-            n, d = work.as_integer_ratio()
-            self._work += n << (_SCALE_BITS + 1 - d.bit_length())
         if running_types:
-            # The engine hands in canonical tuples, which
-            # canonical_coschedule returns as-is (no re-sort, and the
-            # dict key stays the same interned object).
-            key = canonical_coschedule(running_types)
-            split = self._coschedule
-            present = split.get(key)
-            if present is not None:
-                split[key] = present + fixed_dt
-            elif len(split) < self.coschedule_cap:
-                split[key] = fixed_dt
-            else:
-                self._overflow += fixed_dt
-                self.overflow_intervals += 1
+            times = self._routes.get(running_types)
+            if times is None:
+                times = self._route(running_types)
+            times.append(dt)
+            if not jobs_in_system:
+                # Running jobs in an "empty" system: input the engines
+                # never send, so it is converted at once, not buffered.
+                self._empty += _fixed(dt)
+        elif jobs_in_system:
+            self._idle_times.append(dt)
+        else:
+            self._empty_times.append(dt)
+        if work:
+            self._work_items.append(work)
+        pending = self._pending + 1
+        if pending < _FLUSH_EVERY:
+            self._pending = pending
+        else:
+            self._flush()
 
     def observe_completion(self, turnaround: float) -> None:
         """Account one job completion."""
-        if turnaround < 0.0:
-            raise SimulationError(f"negative turnaround {turnaround}")
+        if not 0.0 <= turnaround < _INF:
+            raise SimulationError(
+                f"negative or non-finite turnaround {turnaround}"
+            )
         self.completed += 1
-        if turnaround != 0.0:
-            n, d = turnaround.as_integer_ratio()
-            self._turnaround += n << (_SCALE_BITS + 1 - d.bit_length())
+        self._turnarounds.append(turnaround)
+        pending = self._pending + 1
+        if pending < _FLUSH_EVERY:
+            self._pending = pending
+        else:
+            self._flush()
+
+    def _route(self, running_types: tuple[str, ...]) -> list[float]:
+        """Pending list of a running tuple not seen in this form yet.
+
+        The cap is decided here, when a key is first seen, in
+        observation order: an admitted key enters ``_coschedule`` now
+        (so dict order is first-seen order) and the route is cached; a
+        key past the cap returns its width's overflow list uncached, so
+        every overflowing observation comes back here to be counted.
+        """
+        key = canonical_coschedule(running_types)
+        times = self._times.get(key)
+        if times is None:
+            split = self._coschedule
+            if key not in split and len(split) >= self.coschedule_cap:
+                self.overflow_intervals += 1
+                return self._overflow_times.setdefault(len(key), [])
+            split.setdefault(key, 0)
+            times = self._times[key] = []
+        self._routes[running_types] = times
+        return times
+
+    def _flush(self) -> None:
+        """Convert every pending float into the exact fields."""
+        self._pending = 0
+        measured = 0
+        busy = 0
+        split = self._coschedule
+        for key, times in self._times.items():
+            if times:
+                total = _drain(times)
+                split[key] += total
+                measured += total
+                busy += len(key) * total
+        for width, times in self._overflow_times.items():
+            if times:
+                total = _drain(times)
+                self._overflow += total
+                measured += total
+                busy += width * total
+        empty = _drain(self._empty_times)
+        self._empty += empty
+        self._measured += measured + empty + _drain(self._idle_times)
+        self._busy += busy
+        self._work += _drain(self._work_items)
+        self._turnaround += _drain(self._turnarounds)
+
+    def _settle(self) -> "SystemMetrics":
+        """Flush pending observations (every read starts here)."""
+        if self._pending:
+            self._flush()
+        return self
 
     # ------------------------------------------------------------------
     # Merge algebra: associative, commutative, with SystemMetrics() as
@@ -177,6 +283,8 @@ class SystemMetrics:
         add.  The result uses the larger of the two caps for its own
         future observations.
         """
+        self._settle()
+        other._settle()
         merged = SystemMetrics(
             coschedule_cap=max(self.coschedule_cap, other.coschedule_cap)
         )
@@ -203,37 +311,39 @@ class SystemMetrics:
     @property
     def measured_time(self) -> float:
         """Total observed (post-warm-up) time."""
-        return _unfixed(self._measured)
+        return _unfixed(self._settle()._measured)
 
     @property
     def busy_context_time(self) -> float:
         """Integral of the number of running jobs over time."""
-        return _unfixed(self._busy)
+        return _unfixed(self._settle()._busy)
 
     @property
     def empty_time(self) -> float:
         """Time with no jobs in the system at all."""
-        return _unfixed(self._empty)
+        return _unfixed(self._settle()._empty)
 
     @property
     def work_done(self) -> float:
         """Weighted work executed."""
-        return _unfixed(self._work)
+        return _unfixed(self._settle()._work)
 
     @property
     def turnaround_sum(self) -> float:
         """Sum of turnaround times of completed jobs."""
-        return _unfixed(self._turnaround)
+        return _unfixed(self._settle()._turnaround)
 
     @property
     def time_by_coschedule(self) -> dict[tuple[str, ...], float]:
         """Time spent per running type-multiset (rendered floats)."""
-        return {key: _unfixed(t) for key, t in self._coschedule.items()}
+        return {
+            key: _unfixed(t) for key, t in self._settle()._coschedule.items()
+        }
 
     @property
     def overflow_time(self) -> float:
         """Time folded into the bounded-split overflow bucket."""
-        return _unfixed(self._overflow)
+        return _unfixed(self._settle()._overflow)
 
     @property
     def mean_turnaround(self) -> float:
@@ -286,6 +396,7 @@ class SystemMetrics:
         bucket appears only when it holds anything, so ordinary runs
         keep the exact historical key set.
         """
+        self._settle()
         payload: dict[str, object] = {
             "measured_time": self.measured_time,
             "busy_context_time": self.busy_context_time,
@@ -302,6 +413,7 @@ class SystemMetrics:
 
     def to_state(self) -> dict[str, object]:
         """Exact internal state (arbitrary-precision ints, JSON-safe)."""
+        self._settle()
         return {
             "measured": self._measured,
             "busy": self._busy,
@@ -341,6 +453,8 @@ class SystemMetrics:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SystemMetrics):
             return NotImplemented
+        self._settle()
+        other._settle()
         return (
             self._measured == other._measured
             and self._busy == other._busy
@@ -352,6 +466,10 @@ class SystemMetrics:
             and self._overflow == other._overflow
             and self.overflow_intervals == other.overflow_intervals
         )
+
+    def __reduce__(self) -> tuple:
+        """Pickle through :meth:`to_state`: flushed, no pending lists."""
+        return (SystemMetrics.from_state, (self.to_state(),))
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (

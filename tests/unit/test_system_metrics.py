@@ -56,3 +56,23 @@ class TestSystemMetrics:
             _ = m.utilization
         with pytest.raises(SimulationError):
             _ = m.coschedule_fractions()
+
+
+_BAD = [float("nan"), float("inf"), float("-inf"), -1.0]
+_OBSERVE = {
+    "interval": lambda m, bad: m.observe_interval(bad, ("a",), 1, 1.0),
+    "work": lambda m, bad: m.observe_interval(1.0, ("a",), 1, bad),
+    "turnaround": lambda m, bad: m.observe_completion(bad),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OBSERVE))
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+def test_bad_observation_rejected_at_the_call(field, bad):
+    """NaN, infinite or negative inputs raise SimulationError at once
+    (not a later read's conversion error) and leave no trace."""
+    m = SystemMetrics()
+    with pytest.raises(SimulationError, match=f"non-finite {field}"):
+        _OBSERVE[field](m, bad)
+    assert m == SystemMetrics()
+    assert m.completed == 0
